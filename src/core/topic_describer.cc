@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -64,13 +65,15 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
   // Per-topic interaction counts: tf(q, I_t) and tf(I_t); candidates are
   // the queries actually linked to the topic's items.
   std::vector<std::vector<ScoredQuery>> rankings(taxonomy.num_topics());
-  // Cache of the stable-softmax denominator pieces per query.
+  // Per-query pieces of the stable softmax: the nonzero relevances in doc
+  // order, their max and the denominator.
   struct SoftmaxCache {
     double max_rel = 0.0;
-    double sum_exp = 0.0;  // sum over docs of exp(rel - max_rel)
-    std::vector<double> rel;
+    double sum_exp = 0.0;  // exp(-max_rel) + sum over docs exp(rel - max_rel)
+    std::vector<std::pair<uint32_t, double>> rel;  // doc-ascending, nonzero
   };
   std::unordered_map<uint32_t, SoftmaxCache> softmax_cache;
+  const uint32_t num_docs = static_cast<uint32_t>(bm25.num_documents());
 
   for (uint32_t t : score_topics) {
     if (t >= taxonomy.num_topics() || doc_of_topic.find(t) ==
@@ -91,6 +94,7 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
     const double log_tf_total =
         std::log(static_cast<double>(tf_total) + 1.0);
 
+    const uint32_t doc_t = doc_of_topic.at(t);
     auto& ranking = rankings[t];
     ranking.reserve(tf_q.size());
     for (const auto& [q, tf] : tf_q) {
@@ -103,17 +107,36 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
       auto cache_it = softmax_cache.find(q);
       if (cache_it == softmax_cache.end()) {
         SoftmaxCache cache;
-        cache.rel = bm25.ScoreAll(query_words[q]);
+        cache.rel = bm25.ScoreNonZero(query_words[q]);
         cache.max_rel = 0.0;
-        for (double r : cache.rel) cache.max_rel = std::max(cache.max_rel, r);
-        cache.sum_exp = std::exp(0.0 - cache.max_rel);  // the "1 +" term
-        for (double r : cache.rel) {
-          cache.sum_exp += std::exp(r - cache.max_rel);
+        for (const auto& [doc, r] : cache.rel) {
+          cache.max_rel = std::max(cache.max_rel, r);
+        }
+        // Replays the sum over every document in doc order, so the
+        // denominator is the same double as summing a dense vector: a
+        // zero-relevance document adds exp(0 - max_rel), the "1 +" term's
+        // value. A closed form (count * exp(-max_rel)) rounds differently.
+        const double exp_zero = std::exp(0.0 - cache.max_rel);
+        cache.sum_exp = exp_zero;
+        auto next = cache.rel.begin();
+        for (uint32_t d = 0; d < num_docs; ++d) {
+          if (next != cache.rel.end() && next->first == d) {
+            cache.sum_exp += std::exp((next++)->second - cache.max_rel);
+          } else {
+            cache.sum_exp += exp_zero;
+          }
         }
         cache_it = softmax_cache.emplace(q, std::move(cache)).first;
       }
       const SoftmaxCache& cache = cache_it->second;
-      double rel_t = cache.rel[doc_of_topic.at(t)];
+      auto rel_it = std::lower_bound(
+          cache.rel.begin(), cache.rel.end(), doc_t,
+          [](const std::pair<uint32_t, double>& entry, uint32_t doc) {
+            return entry.first < doc;
+          });
+      double rel_t = rel_it != cache.rel.end() && rel_it->first == doc_t
+                         ? rel_it->second
+                         : 0.0;
       double con = std::exp(rel_t - cache.max_rel) / cache.sum_exp;
 
       ScoredQuery scored;

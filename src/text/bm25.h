@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/result.h"
@@ -33,18 +34,31 @@ class Bm25Index {
   double Score(const std::vector<uint32_t>& query_word_ids,
                uint32_t doc_id) const;
 
-  // Scores the query against every document.
-  std::vector<double> ScoreAll(
+  // (doc id, score) for every document whose score is nonzero, in
+  // ascending doc id. Walks only the postings of the query's words. Each
+  // score equals Score(query_word_ids, doc) bit for bit: the per-word
+  // terms are added in query-word order with the same expression.
+  std::vector<std::pair<uint32_t, double>> ScoreNonZero(
       const std::vector<uint32_t>& query_word_ids) const;
 
  private:
-  double Idf(uint32_t word) const;
+  struct Posting {
+    uint32_t doc = 0;
+    uint32_t tf = 0;
+  };
+
+  // Postings of `word` in ascending doc id, or nullptr when no document
+  // contains it.
+  const std::vector<Posting>* PostingsOf(uint32_t word) const;
+  double Idf(size_t df) const;
   double AvgDocLength() const;
+  // One word's contribution to a document's score.
+  double Term(double idf, uint32_t tf, uint32_t doc_id, double avgdl) const;
 
   Options options_;
-  // word id -> (doc id -> term frequency)
-  std::unordered_map<uint32_t, std::unordered_map<uint32_t, uint32_t>>
-      postings_;
+  // word id -> postings; documents are added in id order, so each list
+  // stays doc-ascending by appending.
+  std::unordered_map<uint32_t, std::vector<Posting>> postings_;
   std::vector<uint32_t> doc_lengths_;
   uint64_t total_length_ = 0;
 };

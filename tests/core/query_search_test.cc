@@ -1,6 +1,15 @@
 #include "core/query_search.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include <gtest/gtest.h>
+
+#include "core/shoal.h"
+#include "data/dataset.h"
+#include "data/shoal_adapter.h"
+#include "text/normalize.h"
+#include "text/tokenizer.h"
 
 namespace shoal::core {
 namespace {
@@ -123,6 +132,73 @@ TEST(QueryTopicIndexTest, RootsOnlyIndexesFewerDocs) {
   auto hits = index->Search("beach", 10);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].topic, taxonomy.roots()[0]);
+}
+
+// Search scores through the BM25 postings; its hits must equal a dense
+// scan of every topic document with Bm25Index::Score, bit for bit.
+TEST(QueryTopicIndexTest, SearchMatchesDenseScan) {
+  data::DatasetOptions data_options;
+  data_options.num_entities = 600;
+  data_options.num_queries = 450;
+  data_options.num_clicks = 30000;
+  auto dataset = data::GenerateDataset(data_options);
+  ASSERT_TRUE(dataset.ok());
+  auto bundle = data::MakeShoalInput(*dataset);
+  auto model = BuildShoal(bundle.View(), ShoalOptions{});
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const Taxonomy& taxonomy = model->taxonomy();
+  const text::Vocabulary& vocab = *bundle.vocab;
+  auto index = QueryTopicIndex::Build(taxonomy, bundle.entity_title_words,
+                                      &vocab, QueryTopicIndex::Options{});
+  ASSERT_TRUE(index.ok());
+
+  // The same pseudo-documents Build indexes: titles plus descriptions.
+  text::Bm25Index dense;
+  for (uint32_t t = 0; t < taxonomy.num_topics(); ++t) {
+    std::vector<uint32_t> doc;
+    for (uint32_t e : taxonomy.topic(t).entities) {
+      const auto& title = bundle.entity_title_words[e];
+      doc.insert(doc.end(), title.begin(), title.end());
+    }
+    for (const std::string& desc : taxonomy.topic(t).description) {
+      for (const std::string& token : text::Tokenize(desc)) {
+        uint32_t id = vocab.Lookup(token);
+        if (id != text::kUnknownWord) doc.push_back(id);
+      }
+    }
+    dense.AddDocument(doc);
+  }
+
+  const size_t k = 8;
+  size_t queries_with_hits = 0;
+  for (const std::string& text : bundle.query_texts) {
+    std::vector<uint32_t> words;
+    for (const std::string& token : text::NormalizeQueryTokens(text)) {
+      uint32_t id = vocab.Lookup(token);
+      if (id != text::kUnknownWord) words.push_back(id);
+    }
+    std::vector<QueryTopicIndex::Hit> want;
+    for (uint32_t t = 0; t < taxonomy.num_topics() && !words.empty(); ++t) {
+      double score = dense.Score(words, t);
+      if (score > 0.0) want.push_back({t, score});
+    }
+    std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+      if (a.score != b.score) return a.score > b.score;
+      return a.topic < b.topic;
+    });
+    if (want.size() > k) want.resize(k);
+
+    const auto got = index->Search(text, k);
+    ASSERT_EQ(got.size(), want.size()) << text;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].topic, want[i].topic) << text;
+      EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score, sizeof(double)),
+                0)
+          << text;
+    }
+    if (!got.empty()) ++queries_with_hits;
+  }
+  EXPECT_GT(queries_with_hits, bundle.query_texts.size() / 2);
 }
 
 }  // namespace

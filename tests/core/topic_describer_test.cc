@@ -1,8 +1,15 @@
 #include "core/topic_describer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
+
+#include "core/shoal.h"
+#include "data/dataset.h"
+#include "data/shoal_adapter.h"
 
 namespace shoal::core {
 namespace {
@@ -185,6 +192,219 @@ TEST(TopicDescriberTest, QueriesPerTopicCapRespected) {
     EXPECT_LE(f.taxonomy.topic(r).description.size(), 1u);
   }
 }
+
+// Dense reference for Sec 2.3: the relevance of every query to every
+// corpus document through Bm25Index::Score, with the softmax denominator
+// summed over all documents in doc order. The describer scores through
+// the sparse postings instead; both must agree bit for bit.
+std::vector<std::vector<ScoredQuery>> DenseDescribe(
+    const Taxonomy& taxonomy, const DescriberInput& input,
+    const DescriberOptions& options, const std::vector<uint32_t>& doc_topics,
+    const std::vector<uint32_t>& score_topics,
+    std::vector<std::vector<std::string>>* descriptions) {
+  const auto& qi = *input.query_item_graph;
+  text::Bm25Index bm25(options.bm25);
+  std::unordered_map<uint32_t, uint32_t> doc_of_topic;
+  for (uint32_t t : doc_topics) {
+    std::vector<uint32_t> doc;
+    for (uint32_t e : taxonomy.topic(t).entities) {
+      const auto& title = (*input.entity_title_words)[e];
+      doc.insert(doc.end(), title.begin(), title.end());
+    }
+    doc_of_topic[t] = bm25.AddDocument(doc);
+  }
+  // Per query: relevance to every document, its max and the denominator.
+  struct DenseSoftmax {
+    std::vector<double> rel;
+    double max_rel = 0.0;
+    double sum_exp = 0.0;
+  };
+  std::unordered_map<uint32_t, DenseSoftmax> softmax;
+  std::vector<std::vector<ScoredQuery>> rankings(taxonomy.num_topics());
+  descriptions->assign(taxonomy.num_topics(), {});
+  for (uint32_t t : score_topics) {
+    std::unordered_map<uint32_t, uint64_t> tf_q;
+    uint64_t tf_total = 0;
+    for (uint32_t e : taxonomy.topic(t).entities) {
+      for (const auto& link : qi.RightNeighbors(e)) {
+        tf_q[link.id] += link.count;
+        tf_total += link.count;
+      }
+    }
+    if (tf_total == 0) continue;
+    const double log_tf_total =
+        std::log(static_cast<double>(tf_total) + 1.0);
+    for (const auto& [q, tf] : tf_q) {
+      double pop = (std::log(static_cast<double>(tf)) + 1.0) / log_tf_total;
+      pop = std::clamp(pop, 0.0, 1.0);
+      auto [it, inserted] = softmax.try_emplace(q);
+      DenseSoftmax& dense = it->second;
+      if (inserted) {
+        const auto& words = (*input.query_words)[q];
+        dense.rel.resize(bm25.num_documents());
+        for (uint32_t d = 0; d < dense.rel.size(); ++d) {
+          dense.rel[d] = bm25.Score(words, d);
+          dense.max_rel = std::max(dense.max_rel, dense.rel[d]);
+        }
+        dense.sum_exp = std::exp(0.0 - dense.max_rel);
+        for (double r : dense.rel) dense.sum_exp += std::exp(r - dense.max_rel);
+      }
+      double con = std::exp(dense.rel[doc_of_topic.at(t)] - dense.max_rel) /
+                   dense.sum_exp;
+      rankings[t].push_back(ScoredQuery{q, std::sqrt(pop * con), pop, con});
+    }
+    std::sort(rankings[t].begin(), rankings[t].end(),
+              [](const ScoredQuery& a, const ScoredQuery& b) {
+                if (a.representativeness != b.representativeness) {
+                  return a.representativeness > b.representativeness;
+                }
+                return a.query < b.query;
+              });
+    for (size_t i = 0;
+         i < std::min(options.queries_per_topic, rankings[t].size()); ++i) {
+      (*descriptions)[t].push_back(
+          (*input.query_texts)[rankings[t][i].query]);
+    }
+  }
+  return rankings;
+}
+
+bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void ExpectBitEqualRankings(
+    const std::vector<std::vector<ScoredQuery>>& got,
+    const std::vector<std::vector<ScoredQuery>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t t = 0; t < got.size(); ++t) {
+    ASSERT_EQ(got[t].size(), want[t].size()) << "topic " << t;
+    for (size_t i = 0; i < got[t].size(); ++i) {
+      const ScoredQuery& a = got[t][i];
+      const ScoredQuery& b = want[t][i];
+      EXPECT_EQ(a.query, b.query) << "topic " << t << " rank " << i;
+      EXPECT_TRUE(BitEqual(a.representativeness, b.representativeness) &&
+                  BitEqual(a.popularity, b.popularity) &&
+                  BitEqual(a.concentration, b.concentration))
+          << "topic " << t << " rank " << i << " query " << a.query;
+    }
+  }
+}
+
+std::vector<uint32_t> AllTopics(const Taxonomy& taxonomy) {
+  std::vector<uint32_t> topics(taxonomy.num_topics());
+  for (uint32_t t = 0; t < topics.size(); ++t) topics[t] = t;
+  return topics;
+}
+
+// Runs Describe (or DescribeTopics when `subset` is given) on a copy of
+// `taxonomy` and checks rankings and descriptions against DenseDescribe.
+void ExpectMatchesDense(const Taxonomy& taxonomy, DescriberInput input,
+                        const DescriberOptions& options,
+                        const std::vector<uint32_t>* subset = nullptr) {
+  Taxonomy described = taxonomy;
+  input.taxonomy = &described;
+  const std::vector<uint32_t> doc_topics =
+      subset == nullptr && options.roots_only ? taxonomy.roots()
+                                              : AllTopics(taxonomy);
+  const std::vector<uint32_t> score_topics =
+      subset != nullptr ? *subset : doc_topics;
+  auto got = subset != nullptr ? TopicDescriber::DescribeTopics(
+                                     described, input, options, *subset)
+                               : TopicDescriber::Describe(described, input,
+                                                          options);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  std::vector<std::vector<std::string>> want_descriptions;
+  const auto want = DenseDescribe(taxonomy, input, options, doc_topics,
+                                  score_topics, &want_descriptions);
+  ExpectBitEqualRankings(*got, want);
+  for (uint32_t t : score_topics) {
+    EXPECT_EQ(described.topic(t).description, want_descriptions[t])
+        << "topic " << t;
+  }
+  if (subset == nullptr) return;
+  for (uint32_t t = 0; t < taxonomy.num_topics(); ++t) {
+    if (std::find(subset->begin(), subset->end(), t) != subset->end()) {
+      continue;
+    }
+    EXPECT_EQ(described.topic(t).description, taxonomy.topic(t).description)
+        << "unscored topic " << t << " was rewritten";
+  }
+}
+
+TEST(TopicDescriberOracleTest, UnmatchedQueryGetsUniformConcentration) {
+  DescriberFixture f;
+  f.query_words[2] = {999};  // "misc" shares no word with any title
+  Taxonomy described = f.taxonomy;
+  auto input = f.Input();
+  input.taxonomy = &described;
+  auto rankings =
+      TopicDescriber::Describe(described, input, DescriberOptions{});
+  ASSERT_TRUE(rankings.ok());
+  const double n = static_cast<double>(f.taxonomy.num_topics());
+  bool seen = false;
+  for (const auto& ranking : *rankings) {
+    for (const auto& scored : ranking) {
+      if (scored.query != 2) continue;
+      seen = true;
+      EXPECT_TRUE(BitEqual(scored.concentration, 1.0 / (1.0 + n)));
+    }
+  }
+  EXPECT_TRUE(seen);
+  ExpectMatchesDense(f.taxonomy, f.Input(), DescriberOptions{});
+}
+
+TEST(TopicDescriberOracleTest, UbiquitousAndRepeatedWordsMatchDense) {
+  DescriberFixture f;
+  // Word 7 is in every title. Its idf is small but positive, so a query
+  // containing it has no zero-relevance document at all.
+  for (auto& title : f.titles) title.push_back(7);
+  f.query_words = {{100, 100, 7}, {7}, {300, 201, 300, 7, 200}};
+  ExpectMatchesDense(f.taxonomy, f.Input(), DescriberOptions{});
+}
+
+TEST(TopicDescriberOracleTest, EmptyTitlesMatchDense) {
+  DescriberFixture f;
+  for (auto& title : f.titles) title.clear();  // avgdl 0: every rel is 0
+  ExpectMatchesDense(f.taxonomy, f.Input(), DescriberOptions{});
+}
+
+class TopicDescriberDatasetTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+// On a generated log the sparse describer reproduces the dense one bit
+// for bit: full Describe, roots_only, and DescribeTopics on a subset.
+TEST_P(TopicDescriberDatasetTest, MatchesDenseOracle) {
+  data::DatasetOptions data_options;
+  data_options.num_entities = 1500;
+  data_options.num_queries = 1100;
+  data_options.num_clicks = 60000;
+  data_options.seed = GetParam();
+  auto dataset = data::GenerateDataset(data_options);
+  ASSERT_TRUE(dataset.ok());
+  auto bundle = data::MakeShoalInput(*dataset);
+  auto model = BuildShoal(bundle.View(), ShoalOptions{});
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const Taxonomy& taxonomy = model->taxonomy();
+  ASSERT_GT(taxonomy.num_topics(), taxonomy.roots().size());
+
+  DescriberInput input;
+  input.query_item_graph = &bundle.query_item_graph;
+  input.query_words = &bundle.query_words;
+  input.query_texts = &bundle.query_texts;
+  input.entity_title_words = &bundle.entity_title_words;
+
+  ExpectMatchesDense(taxonomy, input, DescriberOptions{});
+  DescriberOptions roots_only;
+  roots_only.roots_only = true;
+  ExpectMatchesDense(taxonomy, input, roots_only);
+  std::vector<uint32_t> subset;
+  for (uint32_t t = 0; t < taxonomy.num_topics(); t += 3) subset.push_back(t);
+  ExpectMatchesDense(taxonomy, input, DescriberOptions{}, &subset);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TopicDescriberDatasetTest,
+                         ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace shoal::core

@@ -1,5 +1,7 @@
 #include "text/bm25.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 namespace shoal::text {
@@ -9,7 +11,7 @@ TEST(Bm25Test, EmptyIndexScoresZero) {
   Bm25Index index;
   EXPECT_EQ(index.num_documents(), 0u);
   EXPECT_EQ(index.Score({1, 2}, 0), 0.0);
-  EXPECT_TRUE(index.ScoreAll({1}).empty());
+  EXPECT_TRUE(index.ScoreNonZero({1}).empty());
 }
 
 TEST(Bm25Test, AddDocumentAssignsSequentialIds) {
@@ -62,15 +64,82 @@ TEST(Bm25Test, LongDocumentsPenalized) {
   EXPECT_GT(short_score, long_score);
 }
 
-TEST(Bm25Test, ScoreAllMatchesIndividualScores) {
+// ScoreNonZero must list exactly the documents Score rates nonzero, in
+// ascending doc id, with bit-identical scores.
+void ExpectMatchesScore(const Bm25Index& index,
+                        const std::vector<uint32_t>& query) {
+  const auto sparse = index.ScoreNonZero(query);
+  size_t next = 0;
+  for (uint32_t d = 0; d < index.num_documents(); ++d) {
+    const double dense = index.Score(query, d);
+    if (dense == 0.0) {
+      EXPECT_TRUE(next == sparse.size() || sparse[next].first != d)
+          << "zero document " << d << " listed";
+      continue;
+    }
+    ASSERT_LT(next, sparse.size()) << "document " << d << " missing";
+    EXPECT_EQ(sparse[next].first, d);
+    EXPECT_EQ(std::memcmp(&sparse[next].second, &dense, sizeof dense), 0)
+        << "doc " << d << ": " << sparse[next].second << " vs " << dense;
+    ++next;
+  }
+  EXPECT_EQ(next, sparse.size());
+}
+
+TEST(Bm25Test, ScoreNonZeroMatchesIndividualScores) {
   Bm25Index index;
   index.AddDocument({1, 2});
   index.AddDocument({2, 3});
   index.AddDocument({4});
-  auto all = index.ScoreAll({2, 4});
-  ASSERT_EQ(all.size(), 3u);
-  for (uint32_t d = 0; d < 3; ++d) {
-    EXPECT_DOUBLE_EQ(all[d], index.Score({2, 4}, d));
+  index.AddDocument({5, 5, 2, 4, 4, 4});
+  const auto sparse = index.ScoreNonZero({2, 4});
+  ASSERT_EQ(sparse.size(), 4u);
+  ExpectMatchesScore(index, {2, 4});
+  ExpectMatchesScore(index, {4, 2});
+  ExpectMatchesScore(index, {4, 2, 4, 999, 2});  // repeated + unknown words
+  ExpectMatchesScore(index, {3});
+  ExpectMatchesScore(index, {});
+}
+
+TEST(Bm25Test, ScoreNonZeroListsUbiquitousWordEverywhere) {
+  Bm25Index index;
+  // Word 1 appears in every document. Its idf, log(1 + 0.5 / (N + 0.5)),
+  // is small but positive, so every document scores and none is omitted.
+  index.AddDocument({1, 2});
+  index.AddDocument({1});
+  index.AddDocument({1, 3});
+  const auto sparse = index.ScoreNonZero({1});
+  ASSERT_EQ(sparse.size(), 3u);
+  EXPECT_GT(sparse[1].second, 0.0);
+  ExpectMatchesScore(index, {1});
+  ExpectMatchesScore(index, {1, 2, 3});
+}
+
+TEST(Bm25Test, ScoreNonZeroOnEmptyDocuments) {
+  Bm25Index index;
+  index.AddDocument({});
+  index.AddDocument({});
+  EXPECT_TRUE(index.ScoreNonZero({1}).empty());  // avgdl 0
+  index.AddDocument({1});
+  ExpectMatchesScore(index, {1});
+}
+
+TEST(Bm25Test, ScoreNonZeroMatchesScoreOnRandomCorpus) {
+  Bm25Index index;
+  uint64_t state = 12345;
+  auto next = [&state](uint32_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<uint32_t>((state >> 33) % bound);
+  };
+  for (int d = 0; d < 300; ++d) {
+    std::vector<uint32_t> doc(next(40));
+    for (uint32_t& w : doc) w = next(25) == 0 ? 0 : next(400);
+    index.AddDocument(doc);
+  }
+  for (int q = 0; q < 200; ++q) {
+    std::vector<uint32_t> query(1 + next(5));
+    for (uint32_t& w : query) w = next(450);
+    ExpectMatchesScore(index, query);
   }
 }
 
