@@ -13,6 +13,7 @@
 #include "text/bm25.h"
 #include "text/word2vec.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -123,12 +124,12 @@ BENCHMARK(BM_Word2VecEpoch)->Arg(200)->Unit(benchmark::kMillisecond);
 void BM_BspSuperstep(benchmark::State& state) {
   const size_t vertices = static_cast<size_t>(state.range(0));
   using Engine = engine::BspEngine<int, int>;
+  util::ThreadPool pool(2);
   for (auto _ : state) {
     Engine::Options options;
     options.num_partitions = 8;
-    options.num_threads = 2;
     options.max_supersteps = 4;
-    Engine engine(vertices, options);
+    Engine engine(vertices, pool, options);
     auto status = engine.Run([vertices](Engine::Context& ctx, uint32_t v,
                                         int& value,
                                         const std::vector<int>& messages) {

@@ -203,9 +203,6 @@ int Run(int argc, char** argv) {
   flags.AddString("graph_threads", "1,2,4,8",
                   "thread counts for the entity-graph stage sweep");
   flags.AddInt64("seed", 2019, "random seed");
-  flags.AddString("diffusion", "delta",
-                  "HAC diffusion mode: 'delta' (incremental, default) or "
-                  "'full' (legacy full-broadcast reference path)");
   flags.AddString("candidate_strategy", "exact",
                   "'exact' runs the HAC scalability sweeps; 'lsh' instead "
                   "compares exact vs MinHash/LSH candidate generation "
@@ -246,17 +243,11 @@ int Run(int argc, char** argv) {
       "Parallel HAC generates the taxonomy for 200M entities within 4h on "
       "ODPS; naive HAC does not scale (one merge per scan)");
 
-  const core::DiffusionMode diffusion_mode =
-      flags.GetString("diffusion") == "full"
-          ? core::DiffusionMode::kFullBroadcast
-          : core::DiffusionMode::kDelta;
-
   util::JsonValue json = util::JsonValue::Object();
   util::JsonValue json_sizes = util::JsonValue::Array();
   util::JsonValue json_threads = util::JsonValue::Array();
   // Smallest size where parallel wall-clock is at or below sequential;
-  // -1 when parallel never catches up. The headline number of the delta
-  // diffusion rework: full broadcast never crossed over at these sizes.
+  // -1 when parallel never catches up.
   double crossover_entities = -1.0;
 
   std::printf(
@@ -274,7 +265,6 @@ int Run(int argc, char** argv) {
     core::ParallelHacOptions par_options;
     par_options.num_threads = 2;
     par_options.num_partitions = 8;
-    par_options.diffusion_mode = diffusion_mode;
     core::ParallelHacStats par_stats;
     util::Stopwatch par_timer;
     auto par = core::ParallelHac(graph, par_options, &par_stats);
@@ -351,7 +341,6 @@ int Run(int argc, char** argv) {
       core::ParallelHacOptions options;
       options.num_threads = threads;
       options.num_partitions = std::max<size_t>(8, threads * 4);
-      options.diffusion_mode = diffusion_mode;
       core::ParallelHacStats stats;
       util::Stopwatch timer;
       auto d = core::ParallelHac(workload.model.entity_graph(), options,
@@ -451,8 +440,6 @@ int Run(int argc, char** argv) {
     json.Set("hardware_threads",
              util::JsonValue::Number(static_cast<double>(
                  std::thread::hardware_concurrency())));
-    json.Set("diffusion", util::JsonValue::Str(
-                              flags.GetString("diffusion")));
     json.Set("crossover_entities",
              util::JsonValue::Number(crossover_entities));
     json.Set("sizes", std::move(json_sizes));
@@ -478,9 +465,7 @@ int Run(int argc, char** argv) {
       "      HAC's is one BSP round for *many* merges — the quantity\n"
       "      that distribution divides by machine count.\n"
       "  (3) message economy: delta diffusion sends only changed\n"
-      "      proposals to neighbours that lack them (msgs/merge above);\n"
-      "      --diffusion=full replays the legacy broadcast flood for\n"
-      "      comparison — byte-identical dendrograms, ~50x the messages.\n");
+      "      proposals to neighbours that lack them (msgs/merge above).\n");
   bench::FinishObs(flags);
   return 0;
 }

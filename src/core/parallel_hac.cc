@@ -56,9 +56,8 @@ util::Status ValidateOptions(const ParallelHacOptions& options) {
   return util::Status::OK();
 }
 
-// Per-round bookkeeping shared by both diffusion modes: apply the round's
-// matching to the cluster graph and dendrogram, accumulate stats, and
-// fire the periodic checkpoint hook.
+// Per-round bookkeeping: apply the round's matching to the cluster graph
+// and dendrogram, accumulate stats, and fire the periodic checkpoint hook.
 util::Status CommitRound(
     const ParallelHacOptions& options, ClusterGraph& clusters,
     Dendrogram& dendrogram, ParallelHacStats& local_stats,
@@ -103,8 +102,7 @@ util::Status CommitRound(
   return util::Status::OK();
 }
 
-// Final checkpoint-hook invocation and run-level metrics, shared by both
-// diffusion modes.
+// Final checkpoint-hook invocation and run-level metrics.
 util::Status FinishRun(const ParallelHacOptions& options,
                        ClusterGraph& clusters, Dendrogram& dendrogram,
                        ParallelHacStats& local_stats) {
@@ -125,218 +123,15 @@ util::Status FinishRun(const ParallelHacOptions& options,
 }
 
 // ---------------------------------------------------------------------------
-// Legacy full-broadcast diffusion (DiffusionMode::kFullBroadcast)
-// ---------------------------------------------------------------------------
-
-// Per-vertex diffusion state: the best edge seen so far, plus the last
-// value broadcast to neighbours (so unchanged values are not re-sent).
-struct DiffusionState {
-  BestEdge best;
-  BestEdge sent;
-};
-
-// Flat CSR snapshot of the mergeable frontier's adjacency, rebuilt into
-// the same buffers every round: snapshot targets are compact indices
-// [0, n) into the round's frontier, so the diffusion kernel runs on
-// dense, cache-friendly spans instead of per-cluster hash maps.
-struct FrontierSnapshot {
-  std::vector<size_t> offsets;                         // n + 1
-  std::vector<std::pair<uint32_t, double>> entries;    // (compact id, sim)
-
-  std::pair<const std::pair<uint32_t, double>*,
-            const std::pair<uint32_t, double>*>
-  Row(uint32_t i) const {
-    return {entries.data() + offsets[i], entries.data() + offsets[i + 1]};
-  }
-};
-
-// The reference round loop: per-round frontier snapshot, fresh engine,
-// full re-broadcast of every vertex's best edge. Kept as the oracle the
-// delta path is tested against (the two must produce byte-identical
-// dendrograms) and as the simplest statement of the algorithm.
-util::Status RunRoundsFullBroadcast(const ParallelHacOptions& options,
-                                    ClusterGraph& clusters,
-                                    Dendrogram& dendrogram,
-                                    ParallelHacStats& local_stats) {
-  const double threshold = options.hac.threshold;
-
-  // One worker pool for the whole run, shared by the snapshot build,
-  // every round's BSP engine, and the batch merge — without it each
-  // round would spawn and join a fresh set of threads.
-  util::ThreadPool pool(std::max<size_t>(1, options.num_threads));
-
-  // Dense cluster-id -> compact-frontier-index map, sized once for every
-  // id HAC can ever create (leaves + one internal node per merge); only
-  // slots named by the current frontier are ever read.
-  const size_t num_leaves = dendrogram.num_leaves();
-  std::vector<uint32_t> compact(num_leaves > 0 ? 2 * num_leaves - 1 : 0, 0);
-  FrontierSnapshot snapshot;
-  std::vector<size_t> chunk_sums;
-  std::vector<std::pair<uint32_t, uint32_t>> to_merge;
-  std::vector<double> merge_similarity;
-
-  // A completed round increments local_stats.rounds, so the loop index
-  // always equals the number of rounds finished so far — including on
-  // resume, where the restored stats make the counter pick up exactly
-  // where the interrupted run stopped.
-  for (size_t round = local_stats.rounds; round < options.max_rounds;
-       ++round) {
-    SHOAL_RETURN_IF_ERROR(util::FaultInjector::Global().OnHacRound(round));
-    obs::ScopedSpan round_span("hac.round");
-    round_span.AddArg("round", static_cast<double>(round));
-    // --- snapshot the *mergeable frontier*: only clusters that still
-    // have an edge >= threshold participate in this round's diffusion.
-    // Late rounds involve a shrinking fraction of the graph, so the
-    // per-round cost tracks the remaining work instead of O(V + E).
-    std::vector<uint32_t> active = clusters.MergeableClusters();
-    const size_t n = active.size();
-    if (n < 2) break;
-    round_span.AddArg("active_clusters", static_cast<double>(n));
-    for (uint32_t i = 0; i < n; ++i) compact[active[i]] = i;
-
-    {
-      SHOAL_TRACE_SPAN("hac.snapshot");
-      // Count, prefix-sum, then fill — each frontier cluster's span is
-      // independent, so all three passes parallelize without contention.
-      // The prefix sum is folded into the counting pass: each chunk
-      // records its total, a serial scan over the O(threads) chunk
-      // totals assigns chunk bases, and the fill-offset pass turns the
-      // per-row counts into absolute offsets. Chunk boundaries are a
-      // pure function of (n, pool size), so offsets are identical to a
-      // serial scan's.
-      const size_t num_chunks = std::min(n, pool.num_threads());
-      snapshot.offsets.assign(n + 1, 0);
-      chunk_sums.assign(num_chunks + 1, 0);
-      pool.ParallelForChunked(n, [&](size_t begin, size_t end, size_t c) {
-        size_t sum = 0;
-        for (size_t i = begin; i < end; ++i) {
-          size_t count = 0;
-          for (const ClusterEdge& e : clusters.Neighbors(active[i])) {
-            if (e.similarity >= threshold) ++count;
-          }
-          snapshot.offsets[i + 1] = count;
-          sum += count;
-        }
-        chunk_sums[c + 1] = sum;
-      });
-      for (size_t c = 0; c < num_chunks; ++c) {
-        chunk_sums[c + 1] += chunk_sums[c];
-      }
-      pool.ParallelForChunked(n, [&](size_t begin, size_t end, size_t c) {
-        size_t running = chunk_sums[c];
-        for (size_t i = begin; i < end; ++i) {
-          running += snapshot.offsets[i + 1];
-          snapshot.offsets[i + 1] = running;
-        }
-      });
-      snapshot.entries.resize(snapshot.offsets[n]);
-      pool.ParallelForChunked(n, [&](size_t begin, size_t end, size_t /*c*/) {
-        for (size_t i = begin; i < end; ++i) {
-          size_t at = snapshot.offsets[i];
-          for (const ClusterEdge& e : clusters.Neighbors(active[i])) {
-            if (e.similarity < threshold) continue;
-            // Both endpoints of a mergeable edge are mergeable clusters,
-            // so the compact slot is always valid.
-            snapshot.entries[at++] = {compact[e.id], e.similarity};
-          }
-        }
-      });
-    }
-
-    // --- diffusion on the BSP engine -------------------------------------
-    // Superstep 0: every vertex with a mergeable edge proposes its best
-    // incident edge to its neighbours. Supersteps 1..k-1: fold received
-    // proposals into the running best and forward improvements. After the
-    // final superstep each vertex knows the best edge within its
-    // k-hop neighbourhood (restricted to mergeable edges).
-    using Engine = engine::BspEngine<DiffusionState, BestEdge>;
-    Engine::Options engine_options;
-    engine_options.num_partitions = options.num_partitions;
-    engine_options.num_threads = options.num_threads;
-    engine_options.pool = &pool;
-    // k message exchanges need k+1 supersteps (send on 0..k-1, final fold
-    // on superstep k).
-    engine_options.max_supersteps = options.diffusion_iterations + 1;
-    Engine engine(n, engine_options);
-    engine.SetCombiner(
-        [](BestEdge& acc, const BestEdge& incoming) { FoldMax(acc, incoming); });
-
-    const size_t last_send_superstep = options.diffusion_iterations - 1;
-    obs::ScopedSpan diffusion_span("hac.diffusion");
-    auto status = engine.Run([&](Engine::Context& ctx, uint32_t v,
-                                 DiffusionState& state,
-                                 const std::vector<BestEdge>& messages) {
-      auto [row, row_end] = snapshot.Row(v);
-      if (ctx.superstep() == 0) {
-        // Best incident edge, expressed in original cluster ids and
-        // normalised to u < v so both endpoints describe it identically.
-        for (auto* e = row; e != row_end; ++e) {
-          uint32_t a = std::min(active[v], active[e->first]);
-          uint32_t b = std::max(active[v], active[e->first]);
-          FoldMax(state.best, BestEdge{a, b, e->second});
-        }
-      }
-      for (const BestEdge& m : messages) FoldMax(state.best, m);
-      if (ctx.superstep() > last_send_superstep || row == row_end) {
-        ctx.VoteToHalt();
-        return;
-      }
-      // Broadcast only improvements; neighbours already hold anything
-      // sent before, so unchanged values would be wasted messages.
-      if (state.best.valid() && !(state.best == state.sent)) {
-        for (auto* e = row; e != row_end; ++e) {
-          ctx.SendMessage(e->first, state.best);
-        }
-        state.sent = state.best;
-      }
-      ctx.VoteToHalt();  // reactivated by incoming messages
-    });
-    if (!status.ok()) return status;
-    local_stats.total_messages += engine.total_messages();
-    local_stats.total_supersteps += engine.superstep();
-    diffusion_span.AddArg("supersteps",
-                          static_cast<double>(engine.superstep()));
-    diffusion_span.AddArg("messages",
-                          static_cast<double>(engine.total_messages()));
-    diffusion_span.End();
-
-    // --- collect local maximal edges: both endpoints agree ----------------
-    // Each vertex's value is the best edge in its k-hop neighbourhood;
-    // edge (a,b) is locally maximal iff it is the best for both a and b.
-    to_merge.clear();
-    merge_similarity.clear();
-    for (uint32_t i = 0; i < n; ++i) {
-      const BestEdge& mine = engine.VertexValue(i).best;
-      if (!mine.valid()) continue;
-      // Edges are normalised (u < v); the smaller endpoint reports, which
-      // also deduplicates each agreeing pair.
-      if (mine.u != active[i]) continue;
-      const BestEdge& theirs = engine.VertexValue(compact[mine.v]).best;
-      if (theirs.valid() && theirs.u == mine.u && theirs.v == mine.v) {
-        to_merge.emplace_back(mine.u, mine.v);
-        merge_similarity.push_back(mine.similarity);
-      }
-    }
-    if (to_merge.empty()) break;
-
-    SHOAL_RETURN_IF_ERROR(CommitRound(options, clusters, dendrogram,
-                                      local_stats, to_merge, merge_similarity,
-                                      pool, engine.total_messages(), n,
-                                      round_span));
-  }
-
-  return FinishRun(options, clusters, dendrogram, local_stats);
-}
-
-// ---------------------------------------------------------------------------
-// Delta diffusion (DiffusionMode::kDelta)
+// Delta diffusion
 // ---------------------------------------------------------------------------
 //
-// The message-economy rework (DESIGN.md §8). One engine lives across all
+// The message-economy design (DESIGN.md §8). One engine lives across all
 // rounds, addressed by cluster id over the full id space [0, 2V-1), and
 // per-vertex adjacency state persists between rounds with only the rows
 // dirtied by a merge batch rebuilt. Three suppression levers cut the
-// full-broadcast flood:
+// O(E)-per-round flood of broadcasting every best edge to every
+// mergeable neighbour:
 //
 //   1. *Delta sends.* Each fanout slot remembers the strongest proposal
 //      ever pushed along that edge direction. A vertex re-sends only
@@ -346,7 +141,7 @@ util::Status RunRoundsFullBroadcast(const ParallelHacOptions& options,
 //      edges at or above the merge threshold (sub-threshold edges never
 //      enter lb/fanout state), and the known-value check doubles as a
 //      combiner-aware send filter against the receiver's best.
-//   3. *Top-k fanout.* Slots cover only the `fanout_cap` strongest
+//   3. *Top-k fanout.* Slots cover only the `kFanoutCap` strongest
 //      mergeable neighbours.
 //
 // All three under-propagate: a vertex's diffused value B(v) can fall
@@ -364,6 +159,15 @@ util::Status RunRoundsFullBroadcast(const ParallelHacOptions& options,
 // applies the exact ball-k condition to every candidate, which removes
 // exactly the spurious ones — hence byte-identical dendrograms at any
 // fanout cap, including 0-message quiescent rounds.
+
+// Each vertex exchanges proposals with at most this many of its
+// strongest mergeable neighbours (by similarity, ties to the smaller
+// id). Exactness does not depend on the cap — dropped propagation is
+// caught by verification — so it purely trades message volume against
+// verification work. A cap sweep (1/2/4/8) on the bench_scalability
+// graphs showed cap 1 at or below every other setting on wall-clock
+// while sending ~17x fewer messages than cap 8.
+constexpr size_t kFanoutCap = 1;
 
 // A capped outgoing-adjacency slot: the neighbour, the edge similarity
 // (kept so rebuilds can re-rank), and the strongest proposal this vertex
@@ -414,11 +218,9 @@ class DeltaFrontier {
   // Trust states of the cached closed-neighbourhood top-2 (see M1()).
   enum : uint8_t { kM1Full = 0, kM1Stale = 1, kM1Top = 2 };
 
-  DeltaFrontier(size_t num_ids, ClusterGraph& clusters, double threshold,
-                size_t fanout_cap)
+  DeltaFrontier(size_t num_ids, ClusterGraph& clusters, double threshold)
       : clusters_(clusters),
         threshold_(threshold),
-        fanout_cap_(fanout_cap),
         lb_(num_ids),
         fanout_(num_ids),
         m1_(num_ids),
@@ -838,7 +640,7 @@ class DeltaFrontier {
     auto& slots = fanout_[v];
     size_t pos = slots.size();
     while (pos > 0 && slots[pos - 1].similarity < sim) --pos;
-    if (fanout_cap_ > 0 && slots.size() == fanout_cap_) {
+    if (slots.size() == kFanoutCap) {
       if (pos == slots.size()) {
         floor_[v] = std::max(floor_[v], sim);
         return false;
@@ -870,7 +672,6 @@ class DeltaFrontier {
  private:
   ClusterGraph& clusters_;
   const double threshold_;
-  const size_t fanout_cap_;
   std::vector<BestEdge> lb_;
   std::vector<std::vector<FanoutSlot>> fanout_;
   std::vector<BestEdge> m1_;
@@ -892,9 +693,9 @@ class DeltaFrontier {
   std::vector<FanoutSlot> scratch_;  // RebuildRow reuse (serial path only)
 };
 
-util::Status RunRoundsDelta(const ParallelHacOptions& options,
-                            ClusterGraph& clusters, Dendrogram& dendrogram,
-                            ParallelHacStats& local_stats) {
+util::Status RunRounds(const ParallelHacOptions& options,
+                       ClusterGraph& clusters, Dendrogram& dendrogram,
+                       ParallelHacStats& local_stats) {
   const double threshold = options.hac.threshold;
   const size_t k = options.diffusion_iterations;
   util::ThreadPool pool(std::max<size_t>(1, options.num_threads));
@@ -909,10 +710,8 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
   using Engine = engine::BspEngine<DeltaValue, DeltaMessage>;
   Engine::Options engine_options;
   engine_options.num_partitions = options.num_partitions;
-  engine_options.num_threads = options.num_threads;
-  engine_options.pool = &pool;
   engine_options.max_supersteps = k + 1;
-  Engine engine(num_ids, engine_options);
+  Engine engine(num_ids, pool, engine_options);
   engine.SetCombiner([](DeltaMessage& acc, const DeltaMessage& incoming) {
     if (Beats(incoming.edge, acc.edge)) {
       acc = incoming;
@@ -921,7 +720,7 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
     }
   });
 
-  DeltaFrontier frontier(num_ids, clusters, threshold, options.fanout_cap);
+  DeltaFrontier frontier(num_ids, clusters, threshold);
   bool initialized = false;
 
   std::vector<std::pair<uint32_t, uint32_t>> to_merge;
@@ -1098,13 +897,14 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
     // Mutual agreement only nominates: the pair merges iff no mergeable
     // edge within k hops of either endpoint beats it. The ball-k check
     // (or a still-live cached refutation) decides that exactly — it is
-    // the serial equivalent of the full-broadcast diffusion veto, which
-    // delivers precisely the ball-k maximum to each endpoint — and the
-    // ascending walk assigns merge ids in the same order a full frontier
-    // scan would, so the matching (and the dendrogram) is byte-identical
-    // to the broadcast path. Every rejected pair parks behind its
-    // refutation: nothing can re-enable it until a watched vertex dies,
-    // so it costs nothing per round while it waits.
+    // the serial equivalent of a full-broadcast diffusion veto, which
+    // would deliver precisely the ball-k maximum to each endpoint — and
+    // the ascending walk assigns merge ids in the same order a full
+    // frontier scan would, so the matching (and the dendrogram) is
+    // byte-identical to a full broadcast's, as the digests pinned in
+    // tests/core/parallel_hac_determinism_test.cc check. Every rejected
+    // pair parks behind its refutation: nothing can re-enable it until a
+    // watched vertex dies, so it costs nothing per round while it waits.
     to_merge.clear();
     merge_similarity.clear();
     for (uint32_t a : candidates) {
@@ -1245,15 +1045,6 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
   }
 
   return FinishRun(options, clusters, dendrogram, local_stats);
-}
-
-util::Status RunRounds(const ParallelHacOptions& options,
-                       ClusterGraph& clusters, Dendrogram& dendrogram,
-                       ParallelHacStats& local_stats) {
-  if (options.diffusion_mode == DiffusionMode::kFullBroadcast) {
-    return RunRoundsFullBroadcast(options, clusters, dendrogram, local_stats);
-  }
-  return RunRoundsDelta(options, clusters, dendrogram, local_stats);
 }
 
 }  // namespace

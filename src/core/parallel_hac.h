@@ -43,41 +43,19 @@ struct HacProgress {
 // round -> higher parallel degree (the trade-off of Figure 3); the paper
 // fixes diffusion_iterations = 2.
 //
-// How a round's best-edge proposals travel over the BSP engine. Both
-// modes produce byte-identical dendrograms (the delta path backstops its
-// message suppression with an exact neighbourhood check, DESIGN.md §8);
-// they differ only in message volume and per-round setup cost.
-enum class DiffusionMode {
-  // Incremental (default): one engine reused across rounds, proposals
-  // sent only to the top-`fanout_cap` strongest neighbours and only when
-  // the recipient is not already known to hold a value at least as good
-  // (per-edge-direction last-sent tracking). Candidate pairs that the
-  // reduced message flow fails to suppress are rejected by an exact
-  // serial verification pass, so the matching — and the dendrogram — is
-  // identical to full broadcast.
-  kDelta,
-  // Legacy reference path: per-round CSR snapshot of the mergeable
-  // frontier and a fresh engine per round; every vertex broadcasts each
-  // improvement to all mergeable neighbours. O(E) messages per round.
-  kFullBroadcast,
-};
-
+// Diffusion is incremental (DESIGN.md §8): one engine is reused across
+// rounds, each vertex proposes only to its strongest mergeable
+// neighbour, and only when the recipient does not already hold a value
+// at least as good. Candidate pairs that the reduced message flow fails
+// to suppress are rejected by an exact serial verification pass, so the
+// matching — and the dendrogram — is exactly the one a full broadcast
+// of every best edge to every mergeable neighbour would produce.
 struct ParallelHacOptions {
   HacOptions hac;
   size_t diffusion_iterations = 2;
   size_t num_partitions = 8;
   size_t num_threads = 2;
   size_t max_rounds = 100000;
-  DiffusionMode diffusion_mode = DiffusionMode::kDelta;
-  // Delta mode only: each vertex exchanges proposals with at most this
-  // many of its strongest mergeable neighbours (by similarity, ties to
-  // the smaller id). 0 means unlimited. Exactness does not depend on the
-  // cap — dropped propagation is caught by verification — so this purely
-  // trades message volume against verification work. The default keeps
-  // only the best edge per vertex: a cap sweep (1/2/4/8) on the
-  // bench_scalability graphs showed cap 1 at or below every other
-  // setting on wall-clock while sending ~17x fewer messages than cap 8.
-  size_t fanout_cap = 1;
   // Invoke `checkpoint_hook` after every `checkpoint_every`-th completed
   // round (0 disables periodic calls). When a hook is set it is also
   // called once after the final round with HacProgress::finished = true.
@@ -95,14 +73,14 @@ struct ParallelHacStats {
   // Local maximal edges found (== merges) in each round; the parallel
   // degree trace reported by bench_diffusion.
   std::vector<size_t> merges_per_round;
-  // Delta-mode telemetry: mutually-best pairs evaluated across all
+  // Verification telemetry: mutually-best pairs evaluated across all
   // rounds, and how many of those were rejected — by the exact ball-k
   // verification or by a still-live cached refutation. A rejected pair
   // parks until a watched vertex dies and is only re-counted when it is
   // re-evaluated, so these count *evaluations*, not pair-rounds;
-  // total_candidates - total_rejected == total_merges. Always zero in
-  // full-broadcast mode. Diagnostic only: not part of the checkpoint
-  // image, so a resumed run restarts these counters.
+  // total_candidates - total_rejected == total_merges. Diagnostic
+  // only: not part of the checkpoint image, so a resumed run restarts
+  // these counters.
   uint64_t total_candidates = 0;
   uint64_t total_rejected = 0;
 };

@@ -5,9 +5,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,12 +24,13 @@ namespace shoal::engine {
 //  * computation proceeds in supersteps; in each superstep every *active*
 //    vertex runs the user compute function, may read messages sent to it
 //    in the previous superstep, send messages of type M to any vertex,
-//    update aggregators, and vote to halt;
+//    and vote to halt;
 //  * a vertex is reactivated by an incoming message;
 //  * the run terminates when every vertex has halted and no messages are
 //    in flight, or after `max_supersteps`.
 //
-// Partitions are executed by a thread pool; messages are sharded by
+// Vertices are range-partitioned and partitions are executed on a
+// caller-owned thread pool; messages are sharded by
 // target partition at send time and delivered by the target partition's
 // own task in fixed source order, so a run is fully deterministic for a
 // given input regardless of thread count. Per-superstep work is
@@ -42,21 +40,15 @@ namespace shoal::engine {
 // algorithms whose activity shrinks (e.g. late HAC rounds) do not pay
 // O(V) barrier costs forever.
 //
-// The worker pool can be injected (`Options::pool`) and shared across
-// many engine instances — ParallelHac creates one engine per round, and
-// without injection every round would spawn and join a fresh set of
-// threads.
+// The engine borrows its worker pool and spawns no threads of its own.
+// ParallelHac builds one engine per run and reuses it across every merge
+// round (see SeedFrontier), sharing the pool with the batch merge.
 template <typename V, typename M>
 class BspEngine {
  public:
   struct Options {
     size_t num_partitions = 8;
-    size_t num_threads = 2;
     size_t max_supersteps = 1000;
-    PartitionStrategy partition_strategy = PartitionStrategy::kRange;
-    // Borrowed shared worker pool. When null the engine owns a private
-    // pool of `num_threads` workers (and pays the thread spawn/join).
-    util::ThreadPool* pool = nullptr;
   };
 
   class Context;
@@ -68,27 +60,20 @@ class BspEngine {
   // delivery applies them in deterministic source order.
   using CombineFn = std::function<void(M& accumulated, const M& incoming)>;
 
-  BspEngine(size_t num_vertices, Options options)
+  // `pool` must outlive the engine.
+  BspEngine(size_t num_vertices, util::ThreadPool& pool, Options options)
       : options_(options),
-        partitioner_(num_vertices, options.num_partitions,
-                     options.partition_strategy),
+        partitioner_(num_vertices, options.num_partitions),
         values_(num_vertices),
-        inbox_(num_vertices) {
-    if (options_.pool != nullptr) {
-      pool_ = options_.pool;
-    } else {
-      owned_pool_ = std::make_unique<util::ThreadPool>(options_.num_threads);
-      pool_ = owned_pool_.get();
-    }
+        inbox_(num_vertices),
+        pool_(pool) {
     const uint32_t num_parts = partitioner_.num_partitions();
-    partition_vertices_.resize(num_parts);
     awake_.resize(num_parts);
     awake_next_.resize(num_parts);
     dirty_.resize(num_parts);
     compute_set_.resize(num_parts);
     for (uint32_t p = 0; p < num_parts; ++p) {
-      partition_vertices_[p] = partitioner_.VerticesOf(p);
-      awake_[p] = partition_vertices_[p];  // every vertex starts active
+      awake_[p] = partitioner_.VerticesOf(p);  // every vertex starts active
     }
   }
 
@@ -100,16 +85,9 @@ class BspEngine {
 
   void SetCombiner(CombineFn combine) { combine_ = std::move(combine); }
 
-  // Aggregator value from the *previous* superstep (sum semantics),
-  // 0.0 when never written.
-  double GetAggregate(const std::string& name) const {
-    auto it = prev_aggregates_.find(name);
-    return it == prev_aggregates_.end() ? 0.0 : it->second;
-  }
-
   // Per-vertex execution context handed to the compute function. One
-  // context per partition, reused across supersteps (outbox shards and
-  // aggregate maps keep their capacity between rounds).
+  // context per partition, reused across supersteps (outbox shards keep
+  // their capacity between rounds).
   class Context {
    public:
     Context(BspEngine* engine, uint32_t partition)
@@ -142,20 +120,10 @@ class BspEngine {
     // The current vertex becomes inactive until a message arrives.
     void VoteToHalt() { halt_current_ = true; }
 
-    // Adds into a named global sum aggregator, visible next superstep.
-    void AggregateSum(const std::string& name, double value) {
-      local_aggregates_[name] += value;
-    }
-
-    double GetAggregate(const std::string& name) const {
-      return engine_->GetAggregate(name);
-    }
-
    private:
     friend class BspEngine;
     void ResetForSuperstep() {
       for (auto& shard : shards_) shard.clear();
-      local_aggregates_.clear();
       messages_sent_ = 0;
       invalid_target_ = false;
     }
@@ -164,7 +132,6 @@ class BspEngine {
     uint32_t partition_;
     // Outgoing messages sharded by target partition.
     std::vector<std::vector<std::pair<uint32_t, M>>> shards_;
-    std::map<std::string, double> local_aggregates_;
     uint64_t messages_sent_ = 0;
     bool halt_current_ = false;
     bool invalid_target_ = false;
@@ -200,7 +167,7 @@ class BspEngine {
       // full scan would produce, so message emission order (and thus
       // combining order) is independent of the thread count.
       std::atomic<uint64_t> active_vertices{0};
-      pool_->ParallelForChunked(
+      pool_.ParallelForChunked(
           num_parts, [&](size_t begin, size_t end, size_t /*worker*/) {
             SHOAL_TRACE_SPAN("bsp.compute_chunk");
             uint64_t chunk_active = 0;
@@ -234,18 +201,11 @@ class BspEngine {
         delivered += contexts_[p].messages_sent_;
       }
 
-      // --- barrier: merge aggregators (fixed partition order), then
-      // deliver shards in parallel — each target partition clears only
-      // the inboxes its previous dirty list names and drains the shards
-      // addressed to it in source-partition order, which keeps delivery
-      // deterministic without a serial O(V) pass.
-      prev_aggregates_.clear();
-      for (uint32_t p = 0; p < num_parts; ++p) {
-        for (const auto& [name, value] : contexts_[p].local_aggregates_) {
-          prev_aggregates_[name] += value;
-        }
-      }
-      pool_->ParallelForChunked(
+      // --- barrier: deliver shards in parallel — each target partition
+      // clears only the inboxes its previous dirty list names and drains
+      // the shards addressed to it in source-partition order, which keeps
+      // delivery deterministic without a serial O(V) pass.
+      pool_.ParallelForChunked(
           num_parts, [&](size_t begin, size_t end, size_t /*worker*/) {
             for (size_t target_part = begin; target_part < end;
                  ++target_part) {
@@ -304,13 +264,6 @@ class BspEngine {
     return util::Status::OK();  // hit max_supersteps; callers may inspect
   }
 
-  // Wakes every vertex (used between phases of multi-stage algorithms).
-  void ActivateAll() {
-    for (uint32_t p = 0; p < partitioner_.num_partitions(); ++p) {
-      awake_[p] = partition_vertices_[p];
-    }
-  }
-
   // Replaces the awake frontier with exactly `vertices` (must be sorted
   // ascending) and drops any undelivered messages left over from a
   // previous Run. Lets one engine be reused across many runs over the
@@ -342,7 +295,7 @@ class BspEngine {
     metrics.GetCounter("bsp.runs").Increment();
     metrics.GetCounter("bsp.supersteps").Increment(superstep_);
     metrics.GetCounter("bsp.messages").Increment(total_messages_);
-    const util::ThreadPoolStats pool = pool_->GetStats();
+    const util::ThreadPoolStats pool = pool_.GetStats();
     metrics.GetGauge("bsp.pool.queue_depth")
         .Set(static_cast<double>(pool.queue_depth));
     metrics.GetGauge("bsp.pool.peak_queue_depth")
@@ -357,7 +310,6 @@ class BspEngine {
   }
   Options options_;
   Partitioner partitioner_;
-  std::vector<std::vector<uint32_t>> partition_vertices_;
   std::vector<V> values_;
   std::vector<std::vector<M>> inbox_;
   // Frontier state, all ascending per partition: vertices that did not
@@ -368,10 +320,8 @@ class BspEngine {
   std::vector<std::vector<uint32_t>> dirty_;
   std::vector<std::vector<uint32_t>> compute_set_;
   std::vector<Context> contexts_;
-  util::ThreadPool* pool_ = nullptr;
-  std::unique_ptr<util::ThreadPool> owned_pool_;
+  util::ThreadPool& pool_;
   CombineFn combine_;
-  std::map<std::string, double> prev_aggregates_;
   size_t superstep_ = 0;
   uint64_t total_messages_ = 0;
 };

@@ -4,50 +4,22 @@
 
 namespace shoal::engine {
 
-namespace {
-
-// Finalizer from MurmurHash3 — cheap, well-mixed vertex -> partition hash.
-uint32_t MixHash(uint32_t x) {
-  x ^= x >> 16;
-  x *= 0x85ebca6bu;
-  x ^= x >> 13;
-  x *= 0xc2b2ae35u;
-  x ^= x >> 16;
-  return x;
-}
-
-}  // namespace
-
-Partitioner::Partitioner(size_t num_vertices, size_t num_partitions,
-                         PartitionStrategy strategy)
+Partitioner::Partitioner(size_t num_vertices, size_t num_partitions)
     : num_vertices_(num_vertices),
-      num_partitions_(std::max<size_t>(1, num_partitions)),
-      strategy_(strategy) {
+      num_partitions_(std::max<size_t>(1, num_partitions)) {
   chunk_ = (num_vertices_ + num_partitions_ - 1) / num_partitions_;
   if (chunk_ == 0) chunk_ = 1;
 }
 
 uint32_t Partitioner::PartitionOf(uint32_t vertex) const {
-  if (strategy_ == PartitionStrategy::kRange) {
-    return static_cast<uint32_t>(
-        std::min(num_partitions_ - 1, vertex / chunk_));
-  }
-  return MixHash(vertex) % static_cast<uint32_t>(num_partitions_);
+  return static_cast<uint32_t>(std::min(num_partitions_ - 1, vertex / chunk_));
 }
 
 std::vector<uint32_t> Partitioner::VerticesOf(uint32_t partition) const {
   std::vector<uint32_t> out;
-  if (strategy_ == PartitionStrategy::kRange) {
-    size_t begin = partition * chunk_;
-    size_t end = std::min(num_vertices_, begin + chunk_);
-    for (size_t v = begin; v < end; ++v) out.push_back(static_cast<uint32_t>(v));
-    return out;
-  }
-  for (size_t v = 0; v < num_vertices_; ++v) {
-    if (PartitionOf(static_cast<uint32_t>(v)) == partition) {
-      out.push_back(static_cast<uint32_t>(v));
-    }
-  }
+  size_t begin = partition * chunk_;
+  size_t end = std::min(num_vertices_, begin + chunk_);
+  for (size_t v = begin; v < end; ++v) out.push_back(static_cast<uint32_t>(v));
   return out;
 }
 

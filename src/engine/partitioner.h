@@ -7,18 +7,12 @@
 
 namespace shoal::engine {
 
-// Assigns vertices to partitions. Contiguous range partitioning keeps
-// neighbouring ids together (good for the generators' cluster-ordered
-// ids); hash partitioning spreads them (good for load balance).
-enum class PartitionStrategy {
-  kRange,
-  kHash,
-};
-
+// Assigns vertices to partitions by contiguous id range: partition p owns
+// ids [p * chunk, (p + 1) * chunk), so neighbouring ids stay together. A
+// zero partition count is clamped to one.
 class Partitioner {
  public:
-  Partitioner(size_t num_vertices, size_t num_partitions,
-              PartitionStrategy strategy = PartitionStrategy::kHash);
+  Partitioner(size_t num_vertices, size_t num_partitions);
 
   size_t num_partitions() const { return num_partitions_; }
   size_t num_vertices() const { return num_vertices_; }
@@ -31,8 +25,7 @@ class Partitioner {
  private:
   size_t num_vertices_;
   size_t num_partitions_;
-  PartitionStrategy strategy_;
-  size_t chunk_;  // for range partitioning
+  size_t chunk_;  // vertices per partition (the last may hold fewer)
 };
 
 }  // namespace shoal::engine

@@ -76,7 +76,6 @@ BucketLayout BucketLayout::Log(double lo, double hi, double base) {
   SHOAL_CHECK(lo > 0.0 && hi > lo && base > 1.0)
       << "log bucket layout needs 0 < lo < hi and base > 1";
   BucketLayout layout;
-  layout.kind = Kind::kLog;
   layout.lo = lo;
   layout.hi = hi;
   layout.base = base;
@@ -90,21 +89,6 @@ BucketLayout BucketLayout::Log(double lo, double hi, double base) {
     layout.bounds.push_back(bound);
     SHOAL_CHECK(layout.bounds.size() < 100000)
         << "log bucket layout out of control (base too close to 1?)";
-  }
-  return layout;
-}
-
-BucketLayout BucketLayout::Linear(double lo, double hi, size_t buckets) {
-  SHOAL_CHECK(hi > lo && buckets > 0)
-      << "linear bucket layout needs lo < hi and at least one bucket";
-  BucketLayout layout;
-  layout.kind = Kind::kLinear;
-  layout.lo = lo;
-  layout.hi = hi;
-  layout.linear_buckets = buckets;
-  const double width = (hi - lo) / static_cast<double>(buckets);
-  for (size_t i = 0; i <= buckets; ++i) {
-    layout.bounds.push_back(lo + width * static_cast<double>(i));
   }
   return layout;
 }
@@ -136,8 +120,7 @@ double BucketLayout::LowerBound(size_t i) const {
 }
 
 bool BucketLayout::operator==(const BucketLayout& other) const {
-  return kind == other.kind && lo == other.lo && hi == other.hi &&
-         base == other.base && linear_buckets == other.linear_buckets &&
+  return lo == other.lo && hi == other.hi && base == other.base &&
          bounds == other.bounds;
 }
 
@@ -246,9 +229,6 @@ HistogramMetric::HistogramMetric(BucketLayout layout)
   }
 }
 
-HistogramMetric::HistogramMetric(double lo, double hi, size_t buckets)
-    : HistogramMetric(BucketLayout::Linear(lo, hi, buckets)) {}
-
 void HistogramMetric::Record(double sample) {
   Shard& shard = shards_[ThreadShard(kNumShards)];
   if (!std::isfinite(sample)) {
@@ -335,19 +315,6 @@ HistogramMetric& MetricsRegistry::GetHistogram(const std::string& name) {
       << "metric '" << name << "' already registered with another kind";
   auto& slot = histograms_[name];
   if (slot == nullptr) slot = std::make_unique<HistogramMetric>();
-  return *slot;
-}
-
-HistogramMetric& MetricsRegistry::GetHistogram(const std::string& name,
-                                               double lo, double hi,
-                                               size_t buckets) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SHOAL_CHECK(!counters_.contains(name) && !gauges_.contains(name))
-      << "metric '" << name << "' already registered with another kind";
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<HistogramMetric>(lo, hi, buckets);
-  }
   return *slot;
 }
 

@@ -30,8 +30,7 @@ const std::vector<Bm25Index::Posting>* Bm25Index::PostingsOf(
 double Bm25Index::Idf(size_t df) const {
   double n = static_cast<double>(num_documents());
   double d = static_cast<double>(df);
-  // BM25+-style floor at 0 avoids negative idf for very common words.
-  return std::max(0.0, std::log((n - d + 0.5) / (d + 0.5) + 1.0));
+  return std::log((n - d + 0.5) / (d + 0.5) + 1.0);
 }
 
 double Bm25Index::AvgDocLength() const {

@@ -15,6 +15,10 @@ namespace shoal::text {
 //
 //   score(q, D) = sum_{w in q} idf(w) * tf(w,D)*(k1+1) /
 //                 (tf(w,D) + k1*(1 - b + b*|D|/avgdl))
+//   idf(w)      = ln(1 + (N - df(w) + 0.5) / (df(w) + 0.5))  > 0
+//
+// Since df <= N the log argument exceeds 1, so idf is strictly positive
+// even for a word in every document and needs no floor.
 class Bm25Index {
  public:
   struct Options {

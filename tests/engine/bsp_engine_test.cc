@@ -9,20 +9,25 @@ namespace {
 
 using IntEngine = BspEngine<int, int>;
 
-IntEngine::Options SmallOptions(size_t partitions = 4, size_t threads = 2) {
+IntEngine::Options SmallOptions(size_t partitions = 4) {
   IntEngine::Options options;
   options.num_partitions = partitions;
-  options.num_threads = threads;
   return options;
 }
 
+// The engine borrows its workers; every test shares this small pool.
+util::ThreadPool& TestPool() {
+  static util::ThreadPool pool(2);
+  return pool;
+}
+
 TEST(BspEngineTest, RejectsEmptyComputeFunction) {
-  IntEngine engine(4, SmallOptions());
+  IntEngine engine(4, TestPool(), SmallOptions());
   EXPECT_FALSE(engine.Run(nullptr).ok());
 }
 
 TEST(BspEngineTest, HaltsImmediatelyWhenAllVote) {
-  IntEngine engine(8, SmallOptions());
+  IntEngine engine(8, TestPool(), SmallOptions());
   auto status = engine.Run([](IntEngine::Context& ctx, uint32_t, int& value,
                               const std::vector<int>&) {
     value = 1;
@@ -36,7 +41,7 @@ TEST(BspEngineTest, HaltsImmediatelyWhenAllVote) {
 TEST(BspEngineTest, MessagesDeliveredNextSuperstep) {
   // Vertex 0 sends its id to vertex 1 in superstep 0; vertex 1 must see
   // it in superstep 1.
-  IntEngine engine(2, SmallOptions());
+  IntEngine engine(2, TestPool(), SmallOptions());
   auto status = engine.Run([](IntEngine::Context& ctx, uint32_t v, int& value,
                               const std::vector<int>& messages) {
     if (ctx.superstep() == 0 && v == 0) {
@@ -51,7 +56,7 @@ TEST(BspEngineTest, MessagesDeliveredNextSuperstep) {
 }
 
 TEST(BspEngineTest, MessageToInvalidVertexFails) {
-  IntEngine engine(2, SmallOptions());
+  IntEngine engine(2, TestPool(), SmallOptions());
   auto status = engine.Run([](IntEngine::Context& ctx, uint32_t, int&,
                               const std::vector<int>&) {
     ctx.SendMessage(99, 1);
@@ -63,7 +68,7 @@ TEST(BspEngineTest, MessageToInvalidVertexFails) {
 TEST(BspEngineTest, ChainPropagation) {
   // Value travels down a chain one hop per superstep: classic BSP.
   const size_t n = 6;
-  IntEngine engine(n, SmallOptions());
+  IntEngine engine(n, TestPool(), SmallOptions());
   auto status = engine.Run([n](IntEngine::Context& ctx, uint32_t v,
                                int& value,
                                const std::vector<int>& messages) {
@@ -86,7 +91,7 @@ TEST(BspEngineTest, CombinerFoldsMessages) {
   // All vertices send to vertex 0 with a max-combiner; vertex 0 must see
   // exactly one message carrying the max.
   const size_t n = 10;
-  IntEngine engine(n, SmallOptions());
+  IntEngine engine(n, TestPool(), SmallOptions());
   engine.SetCombiner([](int& acc, const int& incoming) {
     acc = std::max(acc, incoming);
   });
@@ -105,30 +110,10 @@ TEST(BspEngineTest, CombinerFoldsMessages) {
   EXPECT_EQ(engine.VertexValue(0), 90);
 }
 
-TEST(BspEngineTest, AggregatorSumVisibleNextSuperstep) {
-  const size_t n = 5;
-  BspEngine<double, int> engine(n, {4, 2, 1000, PartitionStrategy::kRange});
-  auto status = engine.Run(
-      [](BspEngine<double, int>::Context& ctx, uint32_t v, double& value,
-         const std::vector<int>&) {
-        if (ctx.superstep() == 0) {
-          ctx.AggregateSum("degree", 1.0);
-          ctx.SendMessage(v, 0);  // keep self alive one more step
-        } else {
-          value = ctx.GetAggregate("degree");
-        }
-        ctx.VoteToHalt();
-      });
-  ASSERT_TRUE(status.ok());
-  for (uint32_t v = 0; v < n; ++v) {
-    EXPECT_DOUBLE_EQ(engine.VertexValue(v), 5.0);
-  }
-}
-
 TEST(BspEngineTest, MaxSuperstepsBoundsRunawayPrograms) {
   IntEngine::Options options = SmallOptions();
   options.max_supersteps = 3;
-  IntEngine engine(2, options);
+  IntEngine engine(2, TestPool(), options);
   auto status = engine.Run([](IntEngine::Context& ctx, uint32_t v, int&,
                               const std::vector<int>&) {
     ctx.SendMessage(1 - v, 1);  // ping-pong forever
@@ -138,14 +123,14 @@ TEST(BspEngineTest, MaxSuperstepsBoundsRunawayPrograms) {
 }
 
 TEST(BspEngineTest, DeterministicAcrossThreadCounts) {
-  // Same program, 1 thread vs 4 threads: identical vertex values. The
-  // program sums incoming neighbour ids over a ring.
+  // Same program on pools of 1 to 8 workers: identical vertex values and
+  // message totals. The program sums incoming neighbour ids over a ring.
   auto run_with_threads = [&](size_t threads) {
     const size_t n = 64;
+    util::ThreadPool pool(threads);
     IntEngine::Options options;
     options.num_partitions = 8;
-    options.num_threads = threads;
-    IntEngine engine(n, options);
+    IntEngine engine(n, pool, options);
     auto status = engine.Run([n](IntEngine::Context& ctx, uint32_t v,
                                  int& value,
                                  const std::vector<int>& messages) {
@@ -157,15 +142,19 @@ TEST(BspEngineTest, DeterministicAcrossThreadCounts) {
       ctx.VoteToHalt();
     });
     EXPECT_TRUE(status.ok());
+    EXPECT_EQ(engine.total_messages(), 2 * n);
     std::vector<int> values;
     for (uint32_t v = 0; v < n; ++v) values.push_back(engine.VertexValue(v));
     return values;
   };
-  EXPECT_EQ(run_with_threads(1), run_with_threads(4));
+  const std::vector<int> reference = run_with_threads(1);
+  for (size_t threads : {2u, 3u, 4u, 8u}) {
+    EXPECT_EQ(run_with_threads(threads), reference) << threads << " threads";
+  }
 }
 
 TEST(BspEngineTest, HaltedVertexReactivatedByMessage) {
-  IntEngine engine(2, SmallOptions());
+  IntEngine engine(2, TestPool(), SmallOptions());
   auto status = engine.Run([](IntEngine::Context& ctx, uint32_t v, int& value,
                               const std::vector<int>& messages) {
     if (ctx.superstep() == 0) {
@@ -187,12 +176,10 @@ TEST(BspEngineTest, HaltedVertexReactivatedByMessage) {
 TEST(BspEngineTest, InjectedPoolSpawnsNoThreads) {
   util::ThreadPool pool(2);
   const uint64_t threads_before = util::ThreadPool::TotalThreadsCreated();
-  IntEngine::Options options = SmallOptions();
-  options.pool = &pool;
   // Constructing and running several engines on a borrowed pool must not
   // create a single thread.
   for (int run = 0; run < 3; ++run) {
-    IntEngine engine(16, options);
+    IntEngine engine(16, pool, SmallOptions());
     auto status = engine.Run([](IntEngine::Context& ctx, uint32_t v,
                                 int& value, const std::vector<int>& messages) {
       if (ctx.superstep() == 0) ctx.SendMessage((v + 1) % 16, 1);
@@ -205,42 +192,22 @@ TEST(BspEngineTest, InjectedPoolSpawnsNoThreads) {
   EXPECT_EQ(util::ThreadPool::TotalThreadsCreated(), threads_before);
 }
 
-TEST(BspEngineTest, InjectedPoolMatchesOwnedPoolResults) {
-  auto program = [](IntEngine::Context& ctx, uint32_t v, int& value,
-                    const std::vector<int>& messages) {
-    if (ctx.superstep() == 0) {
-      ctx.SendMessage((v + 3) % 32, static_cast<int>(v));
-    }
-    for (int m : messages) value += m;
-    ctx.VoteToHalt();
-  };
-  IntEngine owned(32, SmallOptions(5, 3));
-  ASSERT_TRUE(owned.Run(program).ok());
-
-  util::ThreadPool pool(3);
-  IntEngine::Options options = SmallOptions(5, 3);
-  options.pool = &pool;
-  IntEngine borrowed(32, options);
-  ASSERT_TRUE(borrowed.Run(program).ok());
-
-  for (uint32_t v = 0; v < 32; ++v) {
-    EXPECT_EQ(borrowed.VertexValue(v), owned.VertexValue(v)) << v;
-  }
-  EXPECT_EQ(borrowed.total_messages(), owned.total_messages());
-  EXPECT_EQ(borrowed.superstep(), owned.superstep());
-}
-
-TEST(BspEngineTest, ActivateAllRestartsHaltedVertices) {
-  IntEngine engine(4, SmallOptions());
+TEST(BspEngineTest, SeedFrontierRestartsHaltedVertices) {
+  // A second Run on the same engine wakes exactly the seeded vertices;
+  // the rest stay halted and keep their values.
+  IntEngine engine(4, TestPool(), SmallOptions());
   auto once = [](IntEngine::Context& ctx, uint32_t, int& value,
                  const std::vector<int>&) {
     ++value;
     ctx.VoteToHalt();
   };
   ASSERT_TRUE(engine.Run(once).ok());
-  engine.ActivateAll();
+  engine.SeedFrontier({1, 3});
   ASSERT_TRUE(engine.Run(once).ok());
-  for (uint32_t v = 0; v < 4; ++v) EXPECT_EQ(engine.VertexValue(v), 2);
+  EXPECT_EQ(engine.VertexValue(0), 1);
+  EXPECT_EQ(engine.VertexValue(1), 2);
+  EXPECT_EQ(engine.VertexValue(2), 1);
+  EXPECT_EQ(engine.VertexValue(3), 2);
 }
 
 }  // namespace

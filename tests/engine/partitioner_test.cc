@@ -1,14 +1,12 @@
 #include "engine/partitioner.h"
 
-#include <numeric>
-
 #include <gtest/gtest.h>
 
 namespace shoal::engine {
 namespace {
 
 TEST(PartitionerTest, RangePartitioningContiguous) {
-  Partitioner p(10, 3, PartitionStrategy::kRange);
+  Partitioner p(10, 3);
   EXPECT_EQ(p.num_partitions(), 3u);
   auto v0 = p.VerticesOf(0);
   auto v1 = p.VerticesOf(1);
@@ -20,31 +18,19 @@ TEST(PartitionerTest, RangePartitioningContiguous) {
 }
 
 TEST(PartitionerTest, EveryVertexAssignedExactlyOnce) {
-  for (auto strategy :
-       {PartitionStrategy::kRange, PartitionStrategy::kHash}) {
-    Partitioner p(100, 7, strategy);
-    std::vector<int> seen(100, 0);
-    for (uint32_t part = 0; part < 7; ++part) {
-      for (uint32_t v : p.VerticesOf(part)) {
-        EXPECT_EQ(p.PartitionOf(v), part);
-        ++seen[v];
-      }
+  Partitioner p(100, 7);
+  std::vector<int> seen(100, 0);
+  for (uint32_t part = 0; part < 7; ++part) {
+    for (uint32_t v : p.VerticesOf(part)) {
+      EXPECT_EQ(p.PartitionOf(v), part);
+      ++seen[v];
     }
-    for (int s : seen) EXPECT_EQ(s, 1);
   }
-}
-
-TEST(PartitionerTest, HashPartitioningRoughlyBalanced) {
-  Partitioner p(10000, 8, PartitionStrategy::kHash);
-  for (uint32_t part = 0; part < 8; ++part) {
-    size_t size = p.VerticesOf(part).size();
-    EXPECT_GT(size, 1000u);
-    EXPECT_LT(size, 1500u);
-  }
+  for (int s : seen) EXPECT_EQ(s, 1);
 }
 
 TEST(PartitionerTest, MorePartitionsThanVertices) {
-  Partitioner p(3, 10, PartitionStrategy::kRange);
+  Partitioner p(3, 10);
   size_t total = 0;
   for (uint32_t part = 0; part < 10; ++part) {
     total += p.VerticesOf(part).size();
@@ -59,7 +45,7 @@ TEST(PartitionerTest, ZeroPartitionsClampedToOne) {
 }
 
 TEST(PartitionerTest, SinglePartitionOwnsEverything) {
-  Partitioner p(42, 1, PartitionStrategy::kHash);
+  Partitioner p(42, 1);
   EXPECT_EQ(p.VerticesOf(0).size(), 42u);
   EXPECT_EQ(p.PartitionOf(17), 0u);
 }

@@ -1,5 +1,6 @@
 #include "text/bm25.h"
 
+#include <cmath>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -165,12 +166,16 @@ TEST(Bm25Test, RepeatedQueryTermsAddUp) {
   EXPECT_NEAR(doubled, 2.0 * single, 1e-12);
 }
 
-TEST(Bm25Test, IdfNonNegativeEvenForUbiquitousTerms) {
+TEST(Bm25Test, IdfPositiveEvenForUbiquitousTerms) {
   Bm25Index index;
   index.AddDocument({1});
   index.AddDocument({1});
   index.AddDocument({1});
-  EXPECT_GE(index.Score({1}, 0), 0.0);
+  // N = df = 3; with tf = |D| = avgdl = 1 the tf factor is exactly 1, so
+  // the score is idf itself: ln(1 + 0.5 / 3.5) = ln(8/7).
+  const double score = index.Score({1}, 0);
+  EXPECT_GT(score, 0.0);
+  EXPECT_DOUBLE_EQ(score, std::log(1.0 + 0.5 / 3.5));
 }
 
 TEST(Bm25Test, CustomParameters) {
