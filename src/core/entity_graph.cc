@@ -4,7 +4,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <unordered_set>
 
 #include "core/lsh_index.h"
 #include "core/minhash.h"
@@ -21,30 +20,10 @@ namespace {
 
 using graph::BipartiteGraph;
 
-uint64_t PairKey(uint32_t a, uint32_t b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
-
-// One shard's worth of candidate generation: queries [begin, end).
-void CollectShardCandidates(const BipartiteGraph& query_item_graph,
-                            size_t begin, size_t end, size_t cap,
-                            std::unordered_set<uint64_t>* pairs,
-                            size_t* capped_queries) {
-  for (size_t q = begin; q < end; ++q) {
-    bool capped = false;
-    std::vector<uint32_t> items = CappedQueryItems(
-        query_item_graph.LeftNeighbors(static_cast<uint32_t>(q)), cap,
-        &capped);
-    if (capped) ++*capped_queries;
-    for (size_t i = 0; i < items.size(); ++i) {
-      for (size_t j = i + 1; j < items.size(); ++j) {
-        if (items[i] == items[j]) continue;
-        pairs->insert(PairKey(items[i], items[j]));
-      }
-    }
-  }
-}
+// Entity ranges per pool worker in the exact candidate stage. A few
+// ranges per worker let the FIFO queue even out whatever the work
+// estimate misses; each range costs one stamp array and one key vector.
+constexpr size_t kExactRangesPerWorker = 4;
 
 // One producer batch of the streaming LSH pipeline: the entities of a
 // contiguous range that had a non-empty shingle set, with their band
@@ -102,6 +81,152 @@ util::Result<graph::WeightedGraph> ApplyDegreeCap(
     ++degree[e.v];
   }
   return entity_graph;
+}
+
+std::vector<uint64_t> BuildExactCandidatePairs(
+    const graph::BipartiteGraph& query_item_graph, size_t max_items_per_query,
+    util::ThreadPool* pool, EntityGraphStats* stats) {
+  const size_t num_queries = query_item_graph.num_left();
+  const size_t num_entities = query_item_graph.num_right();
+  // Runs fn(begin, end) over [0, n): chunked on the pool, inline without.
+  const auto for_chunks =
+      [&](size_t n, const std::function<void(size_t, size_t)>& fn) {
+        if (pool != nullptr) {
+          pool->ParallelForChunked(
+              n, [&](size_t begin, size_t end, size_t) { fn(begin, end); });
+        } else {
+          fn(0, n);
+        }
+      };
+
+  // Query -> capped item list, flattened; each list ascending so a row
+  // can skip the ids at or below its own entity with one binary search.
+  std::vector<size_t> query_offsets(num_queries + 1, 0);
+  size_t capped_queries = 0;
+  for (size_t q = 0; q < num_queries; ++q) {
+    const size_t links =
+        query_item_graph.LeftNeighbors(static_cast<uint32_t>(q)).size();
+    if (links > max_items_per_query) ++capped_queries;
+    query_offsets[q + 1] =
+        query_offsets[q] + std::min(links, max_items_per_query);
+  }
+  std::vector<uint32_t> query_items(query_offsets[num_queries]);
+  for_chunks(num_queries, [&](size_t begin, size_t end) {
+    for (size_t q = begin; q < end; ++q) {
+      bool capped = false;
+      const std::vector<uint32_t> items = CappedQueryItems(
+          query_item_graph.LeftNeighbors(static_cast<uint32_t>(q)),
+          max_items_per_query, &capped);
+      uint32_t* out = query_items.data() + query_offsets[q];
+      std::copy(items.begin(), items.end(), out);
+      std::sort(out, out + items.size());
+    }
+  });
+
+  // Entity -> queries whose capped list holds it (the inverted CSR),
+  // filled in query order so each entity's list is ascending.
+  std::vector<size_t> entity_offsets(num_entities + 1, 0);
+  for (uint32_t e : query_items) ++entity_offsets[e + 1];
+  for (size_t e = 0; e < num_entities; ++e) {
+    entity_offsets[e + 1] += entity_offsets[e];
+  }
+  std::vector<uint32_t> entity_queries(query_items.size());
+  {
+    std::vector<size_t> cursor(entity_offsets.begin(),
+                               entity_offsets.end() - 1);
+    for (size_t q = 0; q < num_queries; ++q) {
+      for (size_t i = query_offsets[q]; i < query_offsets[q + 1]; ++i) {
+        entity_queries[cursor[query_items[i]]++] = static_cast<uint32_t>(q);
+      }
+    }
+  }
+
+  // The ids above u in query q's capped list: the v side of u's row.
+  const uint32_t* items = query_items.data();
+  const auto above = [&](size_t q, uint32_t u) {
+    const uint32_t* end = items + query_offsets[q + 1];
+    return std::make_pair(std::upper_bound(items + query_offsets[q], end, u),
+                          end);
+  };
+
+  // work_before[u] = row emissions (before dedup) of entities < u, plus
+  // one per entity for its fixed cost; ranges cut this prefix evenly.
+  std::vector<uint64_t> work_before(num_entities + 1, 0);
+  for_chunks(num_entities, [&](size_t begin, size_t end) {
+    for (size_t u = begin; u < end; ++u) {
+      uint64_t work = 1;
+      for (size_t i = entity_offsets[u]; i < entity_offsets[u + 1]; ++i) {
+        const auto [first, last] =
+            above(entity_queries[i], static_cast<uint32_t>(u));
+        work += static_cast<uint64_t>(last - first);
+      }
+      work_before[u + 1] = work;
+    }
+  });
+  for (size_t u = 0; u < num_entities; ++u) {
+    work_before[u + 1] += work_before[u];
+  }
+  const size_t num_ranges =
+      pool != nullptr ? kExactRangesPerWorker * pool->num_threads() : 1;
+  std::vector<size_t> range_begin(num_ranges + 1, num_entities);
+  for (size_t r = 0; r < num_ranges; ++r) {
+    const uint64_t target = work_before[num_entities] * r / num_ranges;
+    range_begin[r] = static_cast<size_t>(
+        std::lower_bound(work_before.begin(), work_before.end() - 1, target) -
+        work_before.begin());
+  }
+
+  // Entity u's row: every v > u sharing a capped list with u, deduped by
+  // stamping stamp[v] = u, then sorted. A row is a pure function of u,
+  // so rows concatenated in u order are the ascending, duplicate-free
+  // key vector at any range count.
+  std::vector<std::vector<uint64_t>> range_pairs(num_ranges);
+  const auto emit_range = [&](size_t r) {
+    obs::ScopedSpan range_span("entity_graph.candidate_range");
+    range_span.AddArg("range", static_cast<double>(r));
+    constexpr uint32_t kNoRow = UINT32_MAX;
+    std::vector<uint32_t> stamp(num_entities, kNoRow);
+    std::vector<uint32_t> row;
+    std::vector<uint64_t>& out = range_pairs[r];
+    for (size_t e = range_begin[r]; e < range_begin[r + 1]; ++e) {
+      const uint32_t u = static_cast<uint32_t>(e);
+      row.clear();
+      for (size_t i = entity_offsets[u]; i < entity_offsets[u + 1]; ++i) {
+        const auto [first, last] = above(entity_queries[i], u);
+        for (const uint32_t* it = first; it != last; ++it) {
+          if (stamp[*it] == u) continue;
+          stamp[*it] = u;
+          row.push_back(*it);
+        }
+      }
+      std::sort(row.begin(), row.end());
+      for (uint32_t v : row) {
+        out.push_back((static_cast<uint64_t>(u) << 32) | v);
+      }
+    }
+    range_span.AddArg("entities", static_cast<double>(range_begin[r + 1] -
+                                                      range_begin[r]));
+    range_span.AddArg("pairs", static_cast<double>(out.size()));
+  };
+  if (pool != nullptr) {
+    for (size_t r = 0; r < num_ranges; ++r) {
+      pool->Submit([&, r] { emit_range(r); });
+    }
+    pool->Wait();
+  } else {
+    emit_range(0);
+  }
+
+  size_t total = 0;
+  for (const auto& pairs : range_pairs) total += pairs.size();
+  std::vector<uint64_t> candidates;
+  candidates.reserve(total);
+  for (auto& pairs : range_pairs) {
+    candidates.insert(candidates.end(), pairs.begin(), pairs.end());
+    std::vector<uint64_t>().swap(pairs);
+  }
+  if (stats != nullptr) stats->capped_queries = capped_queries;
+  return candidates;
 }
 
 std::vector<uint64_t> BuildLshCandidatePairs(
@@ -263,11 +388,11 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
 
   // --- Stage 2: candidate pairs ----------------------------------------
   // Either strategy produces one sorted, duplicate-free key vector:
-  // kExact merges per-shard hash sets of co-click pairs; kMinHashLsh
-  // streams MinHash band keys into LSH buckets and collects bucket
-  // pairs. Sorting makes the scoring order (and hence the whole build)
-  // deterministic regardless of strategy, thread count, or the order
-  // buckets emitted candidates.
+  // kExact emits the co-click projection row by row in entity order;
+  // kMinHashLsh streams MinHash band keys into LSH buckets and sorts
+  // the bucket pairs. The sorted keys make the scoring order (and hence
+  // the whole build) deterministic regardless of strategy, thread
+  // count, or the order buckets emitted candidates.
   stage_timer.Restart();
   obs::ScopedSpan candidate_span("entity_graph.candidates");
   std::vector<uint64_t> candidates;
@@ -276,27 +401,9 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
                                         options.lsh, pool.get(),
                                         &local_stats);
   } else {
-    std::vector<std::unordered_set<uint64_t>> shard_pairs(max_shards);
-    std::vector<size_t> shard_capped(max_shards, 0);
-    for_shards(query_item_graph.num_left(),
-               [&](size_t begin, size_t end, size_t shard) {
-                 SHOAL_TRACE_SPAN("entity_graph.candidate_shard");
-                 CollectShardCandidates(query_item_graph, begin, end,
-                                        options.max_items_per_query,
-                                        &shard_pairs[shard],
-                                        &shard_capped[shard]);
-               });
-    size_t total = 0;
-    for (const auto& s : shard_pairs) total += s.size();
-    candidates.reserve(total);
-    for (auto& s : shard_pairs) {
-      candidates.insert(candidates.end(), s.begin(), s.end());
-      s.clear();
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    for (size_t c : shard_capped) local_stats.capped_queries += c;
+    candidates = BuildExactCandidatePairs(
+        query_item_graph, options.max_items_per_query, pool.get(),
+        &local_stats);
   }
   local_stats.candidate_pairs = candidates.size();
   local_stats.candidate_seconds = stage_timer.ElapsedSeconds();
@@ -395,6 +502,8 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
           .Set(static_cast<double>(pool_stats.peak_queue_depth));
       metrics.GetGauge("entity_graph.pool.tasks_executed")
           .Set(static_cast<double>(pool_stats.tasks_executed));
+      metrics.GetGauge("entity_graph.pool.max_task_seconds")
+          .Set(pool_stats.max_task_seconds);
       metrics.GetHistogram("entity_graph.pool.task_seconds")
           .Record(pool_stats.tasks_executed > 0
                       ? pool_stats.total_task_seconds /

@@ -16,9 +16,11 @@ namespace shoal::core {
 // How candidate pairs are generated before exact Eq. 1-3 rescoring.
 //
 //   kExact      — every pair of entities co-clicked under at least one
-//                 query (the reference path; cost grows with the square
-//                 of per-query fanout and is the scaling wall before
-//                 the paper's 200M-entity regime).
+//                 (capped) query: the one-mode projection of the
+//                 query-item graph, emitted row by row in entity order
+//                 (BuildExactCandidatePairs). Cost is the sum over
+//                 queries of the squared capped fanout, so it grows
+//                 with head-query fanout, not with the entity count.
 //   kMinHashLsh — streaming MinHash signatures over query sets (Eq. 1
 //                 signal) and title token shingles (Eq. 2 signal),
 //                 banded LSH buckets emit candidates, exact rescoring
@@ -61,8 +63,8 @@ struct EntityGraphOptions {
   // Worker threads for candidate generation, profile building, and
   // scoring. 1 (the default) runs the single-shard serial reference
   // path; 0 means hardware concurrency. Every setting produces the
-  // same edge set, weights, and stats (timings aside): shards merge
-  // through a sorted deterministic reduction, and the degree cap
+  // same edge set, weights, and stats (timings aside): shards and
+  // candidate ranges concatenate in a fixed order, and the degree cap
   // orders edges by (similarity desc, u, v).
   size_t num_threads = 1;
   // Candidate generation strategy; kMinHashLsh keeps the same
@@ -83,7 +85,7 @@ struct EntityGraphStats {
   size_t lsh_skipped_buckets = 0;   // over max_bucket, dropped
   size_t lsh_emitted_pairs = 0;     // bucket pair emissions before dedup
   // Per-stage wall-clock, for scaling curves (bench_scalability).
-  double candidate_seconds = 0.0;   // pair generation + merge (either path)
+  double candidate_seconds = 0.0;   // candidate pair generation (either path)
   double signature_seconds = 0.0;   // MinHash signing share of the above
   double profile_seconds = 0.0;     // query sets + content profiles
   double scoring_seconds = 0.0;     // Eq. 1-3 over candidate pairs
@@ -122,6 +124,18 @@ std::vector<uint32_t> CappedQueryItems(
 // for any input order.
 util::Result<graph::WeightedGraph> ApplyDegreeCap(
     std::vector<ScoredEdge> edges, size_t num_entities, size_t max_degree);
+
+// The kExact candidate stage, exposed for tests and diagnostics:
+// returns the ascending, duplicate-free `(u << 32) | v`-packed pairs
+// (u < v) of entities that share at least one query's
+// CappedQueryItems list. Entity u's row is every such v > u, deduped
+// with a stamp array and sorted; rows are cut into ranges of equal
+// estimated work (a few per pool worker) and concatenated in u order,
+// so the result needs no merge or sort and is identical for any pool,
+// including null (one range, run inline). Sets `stats->capped_queries`.
+std::vector<uint64_t> BuildExactCandidatePairs(
+    const graph::BipartiteGraph& query_item_graph, size_t max_items_per_query,
+    util::ThreadPool* pool, EntityGraphStats* stats = nullptr);
 
 // The kMinHashLsh candidate stage, exposed for tests and diagnostics:
 // returns the deduped, ascending `(u << 32) | v`-packed pairs that

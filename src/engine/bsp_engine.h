@@ -302,6 +302,8 @@ class BspEngine {
         .Set(static_cast<double>(pool.peak_queue_depth));
     metrics.GetGauge("bsp.pool.tasks_executed")
         .Set(static_cast<double>(pool.tasks_executed));
+    metrics.GetGauge("bsp.pool.max_task_seconds")
+        .Set(pool.max_task_seconds);
     metrics.GetHistogram("bsp.pool.task_seconds")
         .Record(pool.tasks_executed > 0
                     ? pool.total_task_seconds /

@@ -159,6 +159,23 @@ TEST_F(ObservabilityTest, MetricsAgreeWithBuildStats) {
   ASSERT_NE(parsed->Find("gauges"), nullptr);
   EXPECT_NE(parsed->Find("gauges")->Find("bsp.pool.peak_queue_depth"),
             nullptr);
+
+  // The slowest pool task, next to the mean: it is what shows one
+  // straggler shard. It can be no longer than all of the pool's tasks
+  // together, which is at most the largest recorded mean × tasks.
+  for (const std::string pool : {"entity_graph.pool", "bsp.pool"}) {
+    const util::JsonValue* max_gauge =
+        parsed->Find("gauges")->Find(pool + ".max_task_seconds");
+    ASSERT_NE(max_gauge, nullptr) << pool;
+    const double max_task =
+        registry.GetGauge(pool + ".max_task_seconds").value();
+    const double tasks = registry.GetGauge(pool + ".tasks_executed").value();
+    const double max_mean_task =
+        registry.GetHistogram(pool + ".task_seconds").Snapshot().max;
+    EXPECT_GT(tasks, 0.0) << pool;
+    EXPECT_GT(max_task, 0.0) << pool;
+    EXPECT_LE(max_task, max_mean_task * tasks * (1.0 + 1e-9)) << pool;
+  }
 }
 
 TEST_F(ObservabilityTest, BuildStatsJsonRoundTrips) {
@@ -185,10 +202,22 @@ TEST_F(ObservabilityTest, DisabledObservabilityRecordsNothing) {
   auto bundle = data::MakeShoalInput(dataset);
   (void)Build(bundle, /*num_threads=*/2);
   EXPECT_TRUE(obs::Tracer::Global().CollectEvents().empty());
+  // Earlier tests in the same process may have registered metrics, and
+  // Reset() keeps their handles (callers cache them), so check values,
+  // not names: nothing registered may have moved off zero.
   auto snapshot =
       util::JsonValue::Parse(obs::MetricsRegistry::Global().ToJsonString());
   ASSERT_TRUE(snapshot.ok());
-  EXPECT_TRUE(snapshot->Find("counters")->members().empty());
+  for (const auto& [name, value] : snapshot->Find("counters")->members()) {
+    EXPECT_EQ(value.number(), 0.0) << "counter " << name;
+  }
+  for (const auto& [name, value] : snapshot->Find("gauges")->members()) {
+    EXPECT_EQ(value.Find("value")->number(), 0.0) << "gauge " << name;
+    EXPECT_EQ(value.Find("max")->number(), 0.0) << "gauge " << name;
+  }
+  for (const auto& [name, value] : snapshot->Find("histograms")->members()) {
+    EXPECT_EQ(value.Find("count")->number(), 0.0) << "histogram " << name;
+  }
 }
 
 }  // namespace
