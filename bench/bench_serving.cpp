@@ -394,17 +394,11 @@ int Run(int argc, char** argv) {
   auto workload = bench::BuildWorkload(
       bench::ScaledDataset(entities, flags.GetInt64("seed")),
       core::ShoalOptions());
-  const core::ShoalInput input = workload.bundle.View();
-  core::DescriberInput describe_input;
-  describe_input.taxonomy = &workload.model.taxonomy();
-  describe_input.query_item_graph = input.query_item_graph;
-  describe_input.query_words = input.query_words;
-  describe_input.query_texts = input.query_texts;
-  describe_input.entity_title_words = input.entity_title_words;
   util::Stopwatch compile_timer;
-  auto compiled = serve::CompileServingIndex(
-      workload.model.taxonomy(), describe_input, core::DescriberOptions(),
-      input.entity_categories, serve::CompileOptions());
+  auto compiled = serve::BuildServingIndexData(
+      workload.model.taxonomy(), workload.model.rankings(),
+      workload.bundle.query_texts, &workload.bundle.entity_categories,
+      serve::CompileOptions());
   SHOAL_CHECK(compiled.ok()) << compiled.status().ToString();
   const double compile_seconds = compile_timer.ElapsedSeconds();
   auto built = compiled->Build();

@@ -161,7 +161,8 @@ bool OptionsFromFlags(const util::FlagParser& flags,
 }
 
 // Compiles and writes the online serving artefact when
-// --serving-index-out is set. Reuses the build's input tensors so the
+// --serving-index-out is set, from the rankings the build's describe
+// stage already produced. Reuses the build's input tensors so the
 // serve-time dictionary is interned from exactly the queries the
 // pipeline saw.
 int MaybeWriteServingIndex(const util::FlagParser& flags,
@@ -169,17 +170,11 @@ int MaybeWriteServingIndex(const util::FlagParser& flags,
                            const core::ShoalModel& model) {
   const std::string& index_out = flags.GetString("serving-index-out");
   if (index_out.empty()) return 0;
-  core::DescriberInput describe_input;
-  describe_input.taxonomy = &model.taxonomy();
-  describe_input.query_item_graph = input.query_item_graph;
-  describe_input.query_words = input.query_words;
-  describe_input.query_texts = input.query_texts;
-  describe_input.entity_title_words = input.entity_title_words;
   serve::CompileOptions compile_options;
   compile_options.version =
       static_cast<uint64_t>(flags.GetInt64("serving-index-version"));
-  auto index = serve::CompileServingIndex(
-      model.taxonomy(), describe_input, core::DescriberOptions(),
+  auto index = serve::BuildServingIndexData(
+      model.taxonomy(), model.rankings(), *input.query_texts,
       input.entity_categories, compile_options);
   if (!index.ok()) {
     std::fprintf(stderr, "cannot compile serving index: %s\n",

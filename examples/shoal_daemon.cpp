@@ -138,7 +138,7 @@ int Run(int argc, char** argv) {
                   "restarted daemon resumes from it (empty = off)");
   flags.AddInt64("window-days", 7, "days kept in the sliding window");
   flags.AddInt64("threads", 1,
-                 "worker threads for delta rescoring and HAC "
+                 "worker threads for delta rescoring, HAC and describe "
                  "(0 = hardware concurrency; results are identical at any "
                  "setting)");
   flags.AddBool("once", false,

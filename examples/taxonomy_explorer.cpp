@@ -306,16 +306,9 @@ int Run(int argc, char** argv) {
 
     // Compile the same artefact shoal_serve loads from disk, so every
     // topic/query walk below exercises the online lookup path.
-    const shoal::core::ShoalInput input = bundle.View();
-    shoal::core::DescriberInput describe_input;
-    describe_input.taxonomy = &model->taxonomy();
-    describe_input.query_item_graph = input.query_item_graph;
-    describe_input.query_words = input.query_words;
-    describe_input.query_texts = input.query_texts;
-    describe_input.entity_title_words = input.entity_title_words;
-    auto compiled = shoal::serve::CompileServingIndex(
-        model->taxonomy(), describe_input, shoal::core::DescriberOptions(),
-        input.entity_categories, shoal::serve::CompileOptions());
+    auto compiled = shoal::serve::BuildServingIndexData(
+        model->taxonomy(), model->rankings(), bundle.query_texts,
+        &bundle.entity_categories, shoal::serve::CompileOptions());
     SHOAL_CHECK(compiled.ok()) << compiled.status().ToString();
     auto frozen = compiled->Build();
     SHOAL_CHECK(frozen.ok()) << frozen.status().ToString();

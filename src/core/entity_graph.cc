@@ -168,13 +168,8 @@ std::vector<uint64_t> BuildExactCandidatePairs(
   }
   const size_t num_ranges =
       pool != nullptr ? kExactRangesPerWorker * pool->num_threads() : 1;
-  std::vector<size_t> range_begin(num_ranges + 1, num_entities);
-  for (size_t r = 0; r < num_ranges; ++r) {
-    const uint64_t target = work_before[num_entities] * r / num_ranges;
-    range_begin[r] = static_cast<size_t>(
-        std::lower_bound(work_before.begin(), work_before.end() - 1, target) -
-        work_before.begin());
-  }
+  const std::vector<size_t> range_begin =
+      util::BalancedRanges(work_before, num_ranges);
 
   // Entity u's row: every v > u sharing a capped list with u, deduped by
   // stamping stamp[v] = u, then sorted. A row is a pure function of u,
@@ -495,20 +490,7 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
           .Set(static_cast<double>(local_stats.lsh_emitted_pairs));
     }
     if (pool != nullptr) {
-      const util::ThreadPoolStats pool_stats = pool->GetStats();
-      metrics.GetGauge("entity_graph.pool.queue_depth")
-          .Set(static_cast<double>(pool_stats.queue_depth));
-      metrics.GetGauge("entity_graph.pool.peak_queue_depth")
-          .Set(static_cast<double>(pool_stats.peak_queue_depth));
-      metrics.GetGauge("entity_graph.pool.tasks_executed")
-          .Set(static_cast<double>(pool_stats.tasks_executed));
-      metrics.GetGauge("entity_graph.pool.max_task_seconds")
-          .Set(pool_stats.max_task_seconds);
-      metrics.GetHistogram("entity_graph.pool.task_seconds")
-          .Record(pool_stats.tasks_executed > 0
-                      ? pool_stats.total_task_seconds /
-                            static_cast<double>(pool_stats.tasks_executed)
-                      : 0.0);
+      metrics.RecordPoolStats("entity_graph.pool", pool->GetStats());
     }
   }
   return entity_graph;

@@ -104,6 +104,7 @@ util::Result<ShoalModel> BuildShoal(const ShoalInput& input,
     const size_t threads = std::min<size_t>(options.num_threads, 256);
     opts.entity_graph.num_threads = threads;
     opts.hac.num_threads = threads;
+    opts.describer.num_threads = threads;
   }
 
   ShoalModel model;
@@ -205,6 +206,7 @@ util::Result<ShoalModel> BuildShoal(const ShoalInput& input,
   auto rankings = TopicDescriber::Describe(model.taxonomy_, describe_input,
                                            opts.describer);
   if (!rankings.ok()) return rankings.status();
+  model.rankings_ = std::move(rankings).value();
   model.stats_.describe_seconds = stopwatch.ElapsedSeconds();
   describe_span.End();
   SHOAL_RETURN_IF_ERROR(util::FaultInjector::Global().OnStage("describe"));

@@ -44,10 +44,10 @@ struct ShoalOptions {
   CategoryCorrelationOptions correlation;
   QueryTopicIndex::Options search;
   // One knob for the pipeline's deterministic parallel stages: when
-  // > 0, overrides the entity-graph and parallel-HAC thread counts
-  // (both produce identical results at any thread count). 0 leaves the
-  // per-stage settings untouched. Deliberately does NOT touch
-  // word2vec.num_threads — Hogwild training races by design, so
+  // > 0, overrides the entity-graph, parallel-HAC and describer thread
+  // counts (all three produce identical results at any thread count).
+  // 0 leaves the per-stage settings untouched. Deliberately does NOT
+  // touch word2vec.num_threads — Hogwild training races by design, so
   // raising it sacrifices run-to-run reproducibility; opt in through
   // the word2vec options directly.
   size_t num_threads = 0;
@@ -102,6 +102,13 @@ class ShoalModel {
   const Dendrogram& dendrogram() const { return *dendrogram_; }
   const graph::WeightedGraph& entity_graph() const { return entity_graph_; }
   const ShoalBuildStats& stats() const { return stats_; }
+  // The Sec 2.3 per-topic query rankings the describe stage produced,
+  // one entry per topic (best first; empty for a topic that was not
+  // scored or has no interactions). serve::BuildServingIndexData
+  // compiles the serving index from them without describing again.
+  const std::vector<std::vector<ScoredQuery>>& rankings() const {
+    return rankings_;
+  }
 
   // Top-k topics for a free-text query (scenario A).
   std::vector<QueryTopicIndex::Hit> SearchTopics(
@@ -118,6 +125,7 @@ class ShoalModel {
   std::shared_ptr<QueryTopicIndex> search_index_;
   std::shared_ptr<Dendrogram> dendrogram_;
   graph::WeightedGraph entity_graph_;
+  std::vector<std::vector<ScoredQuery>> rankings_;
   ShoalBuildStats stats_;
 };
 

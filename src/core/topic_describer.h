@@ -30,6 +30,12 @@ struct DescriberOptions {
   // inherit nothing. The pipeline defaults to describing every topic.
   bool roots_only = false;
   text::Bm25Index::Options bm25;
+  // Worker threads for the three scoring passes (per-topic query counts,
+  // per-query softmax, per-topic ranking). 0 means hardware concurrency
+  // (the ThreadPool convention); 1 runs the same passes inline on the
+  // calling thread and starts no thread. Rankings and descriptions are
+  // identical, bit for bit, at any setting.
+  size_t num_threads = 0;
 };
 
 struct DescriberInput {
@@ -64,7 +70,8 @@ class TopicDescriber {
   // Rankings of unscored topics come back empty; their descriptions are
   // left untouched (the daemon carries them over from the previous
   // cycle). `options.roots_only` is ignored here — the caller picks the
-  // subset. Duplicate or out-of-range ids are InvalidArgument.
+  // subset. Duplicate or out-of-range ids are InvalidArgument, and the
+  // whole subset is checked before any description is rewritten.
   static util::Result<std::vector<std::vector<ScoredQuery>>> DescribeTopics(
       Taxonomy& taxonomy, const DescriberInput& input,
       const DescriberOptions& options,

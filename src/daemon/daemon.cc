@@ -58,6 +58,7 @@ util::Result<std::unique_ptr<TaxonomyDaemon>> TaxonomyDaemon::Create(
     const size_t threads = std::min<size_t>(options.num_threads, 256);
     daemon->options_.entity_graph.num_threads = threads;
     daemon->options_.hac.num_threads = threads;
+    daemon->options_.describer.num_threads = threads;
   }
 
   SHOAL_ASSIGN_OR_RETURN(daemon->catalog_,

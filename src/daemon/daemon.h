@@ -36,8 +36,9 @@ struct DaemonOptions {
   // cycle retires the oldest day as it ingests the newest.
   size_t window_days = 7;
 
-  // Worker threads for delta rescoring and HAC — both stages produce
-  // identical results at any setting. 0 = hardware concurrency.
+  // Worker threads for delta rescoring, HAC and describe — all three
+  // stages produce identical results at any setting (describe at 1
+  // starts no thread). 0 = hardware concurrency.
   // Deliberately does not touch word2vec: the daemon always trains its
   // catalog embedding single-threaded so the standing graph is a
   // deterministic function of the spool.

@@ -295,20 +295,7 @@ class BspEngine {
     metrics.GetCounter("bsp.runs").Increment();
     metrics.GetCounter("bsp.supersteps").Increment(superstep_);
     metrics.GetCounter("bsp.messages").Increment(total_messages_);
-    const util::ThreadPoolStats pool = pool_.GetStats();
-    metrics.GetGauge("bsp.pool.queue_depth")
-        .Set(static_cast<double>(pool.queue_depth));
-    metrics.GetGauge("bsp.pool.peak_queue_depth")
-        .Set(static_cast<double>(pool.peak_queue_depth));
-    metrics.GetGauge("bsp.pool.tasks_executed")
-        .Set(static_cast<double>(pool.tasks_executed));
-    metrics.GetGauge("bsp.pool.max_task_seconds")
-        .Set(pool.max_task_seconds);
-    metrics.GetHistogram("bsp.pool.task_seconds")
-        .Record(pool.tasks_executed > 0
-                    ? pool.total_task_seconds /
-                          static_cast<double>(pool.tasks_executed)
-                    : 0.0);
+    metrics.RecordPoolStats("bsp.pool", pool_.GetStats());
   }
   Options options_;
   Partitioner partitioner_;

@@ -5,6 +5,7 @@
 
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace shoal::obs {
 
@@ -316,6 +317,22 @@ HistogramMetric& MetricsRegistry::GetHistogram(const std::string& name) {
   auto& slot = histograms_[name];
   if (slot == nullptr) slot = std::make_unique<HistogramMetric>();
   return *slot;
+}
+
+void MetricsRegistry::RecordPoolStats(const std::string& prefix,
+                                      const util::ThreadPoolStats& stats) {
+  GetGauge(prefix + ".queue_depth")
+      .Set(static_cast<double>(stats.queue_depth));
+  GetGauge(prefix + ".peak_queue_depth")
+      .Set(static_cast<double>(stats.peak_queue_depth));
+  GetGauge(prefix + ".tasks_executed")
+      .Set(static_cast<double>(stats.tasks_executed));
+  GetGauge(prefix + ".max_task_seconds").Set(stats.max_task_seconds);
+  GetHistogram(prefix + ".task_seconds")
+      .Record(stats.tasks_executed > 0
+                  ? stats.total_task_seconds /
+                        static_cast<double>(stats.tasks_executed)
+                  : 0.0);
 }
 
 void MetricsRegistry::Reset() {

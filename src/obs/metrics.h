@@ -12,6 +12,10 @@
 
 #include "util/json.h"
 
+namespace shoal::util {
+struct ThreadPoolStats;
+}  // namespace shoal::util
+
 namespace shoal::obs {
 
 // Monotonic event count. Thread-safe; one relaxed atomic add per
@@ -184,6 +188,12 @@ class MetricsRegistry {
   Gauge& GetGauge(const std::string& name);
   // Default log-bucketed layout — quantile-capable out of the box.
   HistogramMetric& GetHistogram(const std::string& name);
+
+  // Bridges a thread pool's lifetime stats into `<prefix>.` gauges
+  // queue_depth, peak_queue_depth, tasks_executed and max_task_seconds,
+  // and one `<prefix>.task_seconds` histogram sample, the mean task time.
+  void RecordPoolStats(const std::string& prefix,
+                       const util::ThreadPoolStats& stats);
 
   // Zeroes every registered metric. Handles stay valid.
   void Reset();

@@ -250,11 +250,14 @@ struct CompileOptions {
   size_t max_postings_per_query = 64;
 };
 
-// Compiles a built taxonomy into serving form. Re-runs the Sec 2.3
-// topic-description scoring (TopicDescriber) on a copy of the taxonomy
-// to obtain the full per-topic query rankings, then inverts them into
-// per-query posting lists. `entity_categories` may be null (categories
-// become kNoCategoryId); when present it must have one entry per entity.
+// Compiles a built taxonomy into serving form, for callers that hold
+// only the taxonomy. Re-runs the Sec 2.3 topic-description scoring
+// (TopicDescriber) on a copy of the taxonomy to obtain the full
+// per-topic query rankings, then inverts them into per-query posting
+// lists. A caller holding a ShoalModel already has those rankings
+// (ShoalModel::rankings()) and should call BuildServingIndexData.
+// `entity_categories` may be null (categories become kNoCategoryId);
+// when present it must have one entry per entity.
 util::Result<ServingIndexData> CompileServingIndex(
     const core::Taxonomy& taxonomy, const core::DescriberInput& input,
     const core::DescriberOptions& describer_options,
@@ -262,12 +265,13 @@ util::Result<ServingIndexData> CompileServingIndex(
     const CompileOptions& options);
 
 // The second half of CompileServingIndex, for callers that already hold
-// per-topic rankings (the incremental daemon scores only dirty topics
-// and carries the rest forward): fills the data arrays from `taxonomy`'s
-// topics/descriptions as-is and inverts `rankings` (one entry per topic;
-// empty entries contribute no postings) into per-query posting lists.
-// `query_texts` is the full query dictionary the ranking query ids index
-// into; only queries with non-empty posting lists are interned.
+// per-topic rankings (`shoal_cli build` takes them from the model; the
+// incremental daemon scores only dirty topics and carries the rest
+// forward): fills the data arrays from `taxonomy`'s topics/descriptions
+// as-is and inverts `rankings` (one entry per topic; empty entries
+// contribute no postings) into per-query posting lists. `query_texts`
+// is the full query dictionary the ranking query ids index into; only
+// queries with non-empty posting lists are interned.
 util::Result<ServingIndexData> BuildServingIndexData(
     const core::Taxonomy& taxonomy,
     const std::vector<std::vector<core::ScoredQuery>>& rankings,

@@ -127,4 +127,17 @@ ThreadPoolStats ThreadPool::GetStats() const {
   return stats;
 }
 
+std::vector<size_t> BalancedRanges(const std::vector<uint64_t>& work_before,
+                                   size_t num_ranges) {
+  const size_t n = work_before.size() - 1;
+  std::vector<size_t> begin(num_ranges + 1, n);
+  for (size_t r = 0; r < num_ranges; ++r) {
+    const uint64_t target = work_before[n] * r / num_ranges;
+    begin[r] = static_cast<size_t>(
+        std::lower_bound(work_before.begin(), work_before.end() - 1, target) -
+        work_before.begin());
+  }
+  return begin;
+}
+
 }  // namespace shoal::util

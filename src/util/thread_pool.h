@@ -82,6 +82,15 @@ class ThreadPool {
   double max_task_seconds_ = 0.0;
 };
 
+// Cuts items [0, n) into `num_ranges` contiguous ranges of about equal
+// work, for a pool to run range by range. `work_before` has n + 1
+// entries, work_before[i] being the work of the items before i; counting
+// at least 1 per item keeps the cut spreading items that cost nothing.
+// Returns num_ranges + 1 bounds: range r is [begin[r], begin[r + 1]),
+// possibly empty when one item outweighs a range.
+std::vector<size_t> BalancedRanges(const std::vector<uint64_t>& work_before,
+                                   size_t num_ranges);
+
 }  // namespace shoal::util
 
 #endif  // SHOAL_UTIL_THREAD_POOL_H_

@@ -10,6 +10,7 @@
 #include "core/shoal.h"
 #include "data/dataset.h"
 #include "data/shoal_adapter.h"
+#include "util/thread_pool.h"
 
 namespace shoal::core {
 namespace {
@@ -221,7 +222,11 @@ std::vector<std::vector<ScoredQuery>> DenseDescribe(
   };
   std::unordered_map<uint32_t, DenseSoftmax> softmax;
   std::vector<std::vector<ScoredQuery>> rankings(taxonomy.num_topics());
-  descriptions->assign(taxonomy.num_topics(), {});
+  // A topic without interactions keeps its description.
+  descriptions->clear();
+  for (uint32_t t = 0; t < taxonomy.num_topics(); ++t) {
+    descriptions->push_back(taxonomy.topic(t).description);
+  }
   for (uint32_t t : score_topics) {
     std::unordered_map<uint32_t, uint64_t> tf_q;
     uint64_t tf_total = 0;
@@ -260,6 +265,7 @@ std::vector<std::vector<ScoredQuery>> DenseDescribe(
                 }
                 return a.query < b.query;
               });
+    (*descriptions)[t].clear();
     for (size_t i = 0;
          i < std::min(options.queries_per_topic, rankings[t].size()); ++i) {
       (*descriptions)[t].push_back(
@@ -405,6 +411,203 @@ TEST_P(TopicDescriberDatasetTest, MatchesDenseOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TopicDescriberDatasetTest,
                          ::testing::Values(1, 2, 3));
+
+// The whole subset is validated before any description is rewritten.
+TEST(TopicDescriberTest, DescribeTopicsRejectsDuplicateIds) {
+  DescriberFixture f;
+  f.taxonomy.topic(0).description = {"OLD"};
+  auto result = TopicDescriber::DescribeTopics(f.taxonomy, f.Input(),
+                                               DescriberOptions{}, {0, 0});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(f.taxonomy.topic(0).description,
+            std::vector<std::string>{"OLD"});
+}
+
+TEST(TopicDescriberTest, DescribeTopicsRejectsOutOfRangeBeforeRewriting) {
+  DescriberFixture f;
+  f.taxonomy.topic(0).description = {"OLD"};
+  auto result = TopicDescriber::DescribeTopics(f.taxonomy, f.Input(),
+                                               DescriberOptions{}, {0, 999});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(f.taxonomy.topic(0).description,
+            std::vector<std::string>{"OLD"});
+}
+
+// Thread sweeps: every pool size must give the inline run's rankings,
+// bit for bit, and the same descriptions.
+constexpr size_t kThreadCounts[] = {1, 2, 3, 4, 8};
+
+struct Described {
+  std::vector<std::vector<ScoredQuery>> rankings;
+  std::vector<std::vector<std::string>> descriptions;
+};
+
+// Describe (or DescribeTopics when `subset` is given) on a copy of
+// `taxonomy` at `num_threads`.
+Described DescribeAt(const Taxonomy& taxonomy, DescriberInput input,
+                     DescriberOptions options, size_t num_threads,
+                     const std::vector<uint32_t>* subset = nullptr) {
+  Taxonomy described = taxonomy;
+  input.taxonomy = &described;
+  options.num_threads = num_threads;
+  auto rankings = subset != nullptr
+                      ? TopicDescriber::DescribeTopics(described, input,
+                                                       options, *subset)
+                      : TopicDescriber::Describe(described, input, options);
+  EXPECT_TRUE(rankings.ok()) << rankings.status().ToString();
+  Described out;
+  if (rankings.ok()) out.rankings = std::move(rankings).value();
+  for (uint32_t t = 0; t < described.num_topics(); ++t) {
+    out.descriptions.push_back(described.topic(t).description);
+  }
+  return out;
+}
+
+// Checks the inline run against the dense oracle, then every thread
+// count against the inline run.
+void ExpectSameAtEveryThreadCount(
+    const Taxonomy& taxonomy, const DescriberInput& input,
+    const DescriberOptions& options,
+    const std::vector<uint32_t>* subset = nullptr) {
+  DescriberOptions inline_options = options;
+  inline_options.num_threads = 1;
+  ExpectMatchesDense(taxonomy, input, inline_options, subset);
+  const Described inline_run =
+      DescribeAt(taxonomy, input, options, 1, subset);
+  for (size_t threads : kThreadCounts) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const Described run = DescribeAt(taxonomy, input, options, threads,
+                                     subset);
+    ExpectBitEqualRankings(run.rankings, inline_run.rankings);
+    EXPECT_EQ(run.descriptions, inline_run.descriptions);
+  }
+}
+
+class TopicDescriberThreadsTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(TopicDescriberThreadsTest, SameRankingsAtEveryThreadCount) {
+  data::DatasetOptions data_options;
+  data_options.num_entities = 1200;
+  data_options.num_queries = 900;
+  data_options.num_clicks = 40000;
+  data_options.seed = GetParam();
+  auto dataset = data::GenerateDataset(data_options);
+  ASSERT_TRUE(dataset.ok());
+  auto bundle = data::MakeShoalInput(*dataset);
+  auto model = BuildShoal(bundle.View(), ShoalOptions{});
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const Taxonomy& taxonomy = model->taxonomy();
+  ASSERT_GT(taxonomy.num_topics(), taxonomy.roots().size());
+
+  DescriberInput input;
+  input.query_item_graph = &bundle.query_item_graph;
+  input.query_words = &bundle.query_words;
+  input.query_texts = &bundle.query_texts;
+  input.entity_title_words = &bundle.entity_title_words;
+
+  ExpectSameAtEveryThreadCount(taxonomy, input, DescriberOptions{});
+  DescriberOptions roots_only;
+  roots_only.roots_only = true;
+  ExpectSameAtEveryThreadCount(taxonomy, input, roots_only);
+  std::vector<uint32_t> subset;
+  for (uint32_t t = 1; t < taxonomy.num_topics(); t += 4) subset.push_back(t);
+  ExpectSameAtEveryThreadCount(taxonomy, input, DescriberOptions{}, &subset);
+
+  // The build described with its own options; its kept rankings are the
+  // full Describe's.
+  ExpectBitEqualRankings(
+      model->rankings(),
+      DescribeAt(taxonomy, input, DescriberOptions{}, 1).rankings);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TopicDescriberThreadsTest,
+                         ::testing::Values(4, 5));
+
+TEST(TopicDescriberThreadsEdgeTest, MoreWorkersThanTopics) {
+  DescriberFixture f;
+  ASSERT_LT(f.taxonomy.num_topics(), 8u);
+  ExpectSameAtEveryThreadCount(f.taxonomy, f.Input(), DescriberOptions{});
+  const std::vector<uint32_t> one{f.TopicOf(2)};
+  ExpectSameAtEveryThreadCount(f.taxonomy, f.Input(), DescriberOptions{},
+                               &one);
+}
+
+TEST(TopicDescriberThreadsEdgeTest, EmptyAndUnknownQueryWords) {
+  DescriberFixture f;
+  f.query_words = {{}, {999}, {100, 998}};
+  ExpectSameAtEveryThreadCount(f.taxonomy, f.Input(), DescriberOptions{});
+}
+
+// A topic whose items drew no interaction: empty ranking, description
+// left as it was, at every thread count.
+TEST(TopicDescriberThreadsEdgeTest, TopicWithoutClicksKeepsDescription) {
+  Dendrogram dendrogram(6);
+  (void)dendrogram.Merge(0, 1, 0.9);
+  (void)dendrogram.Merge(2, 3, 0.9);
+  (void)dendrogram.Merge(4, 5, 0.9);
+  TaxonomyOptions taxonomy_options;
+  taxonomy_options.min_topic_size = 2;
+  taxonomy_options.min_root_size = 2;
+  Taxonomy taxonomy =
+      Taxonomy::Build(dendrogram, {1, 1, 2, 2, 3, 3}, taxonomy_options);
+  ASSERT_EQ(taxonomy.roots().size(), 3u);
+  const uint32_t silent = taxonomy.RootTopicOfEntity(4);
+  taxonomy.topic(silent).description = {"OLD"};
+
+  graph::BipartiteGraph qi(2, 6);
+  ASSERT_TRUE(qi.AddInteraction(0, 0, 3).ok());
+  ASSERT_TRUE(qi.AddInteraction(1, 2, 2).ok());
+  ASSERT_TRUE(qi.AddInteraction(1, 1, 1).ok());
+  std::vector<std::vector<uint32_t>> query_words{{100}, {200}};
+  std::vector<std::string> query_texts{"beach", "router"};
+  std::vector<std::vector<uint32_t>> titles{{100}, {100}, {200},
+                                            {200}, {300}, {300}};
+  DescriberInput input;
+  input.query_item_graph = &qi;
+  input.query_words = &query_words;
+  input.query_texts = &query_texts;
+  input.entity_title_words = &titles;
+
+  ExpectSameAtEveryThreadCount(taxonomy, input, DescriberOptions{});
+  for (size_t threads : kThreadCounts) {
+    const Described run =
+        DescribeAt(taxonomy, input, DescriberOptions{}, threads);
+    EXPECT_TRUE(run.rankings[silent].empty()) << threads;
+    EXPECT_EQ(run.descriptions[silent], std::vector<std::string>{"OLD"})
+        << threads;
+  }
+}
+
+TEST(TopicDescriberThreadsEdgeTest, EmptyTaxonomy) {
+  DescriberFixture f;
+  Taxonomy empty;
+  DescriberInput input = f.Input();
+  input.taxonomy = nullptr;
+  for (size_t threads : kThreadCounts) {
+    const Described run = DescribeAt(empty, input, DescriberOptions{},
+                                     threads);
+    EXPECT_TRUE(run.rankings.empty()) << threads;
+    const std::vector<uint32_t> none;
+    EXPECT_TRUE(
+        DescribeAt(empty, input, DescriberOptions{}, threads, &none)
+            .rankings.empty())
+        << threads;
+  }
+}
+
+// num_threads = 1 runs the passes inline: no pool, no thread.
+TEST(TopicDescriberThreadsEdgeTest, OneThreadStartsNoThread) {
+  DescriberFixture f;
+  const uint64_t before = util::ThreadPool::TotalThreadsCreated();
+  DescribeAt(f.taxonomy, f.Input(), DescriberOptions{}, 1);
+  EXPECT_EQ(util::ThreadPool::TotalThreadsCreated(), before);
+  // The counter does see a pooled run.
+  DescribeAt(f.taxonomy, f.Input(), DescriberOptions{}, 2);
+  EXPECT_EQ(util::ThreadPool::TotalThreadsCreated(), before + 2);
+}
 
 }  // namespace
 }  // namespace shoal::core

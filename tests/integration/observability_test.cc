@@ -114,7 +114,8 @@ TEST_F(ObservabilityTest, TraceCoversEveryPipelineStageAndHacRound) {
         "shoal.taxonomy", "shoal.describe", "shoal.correlation",
         "shoal.search_index", "entity_graph.candidates",
         "entity_graph.scoring", "hac.diffusion", "hac.merge",
-        "bsp.superstep"}) {
+        "bsp.superstep", "describe.topics", "describe.softmax",
+        "describe.rank"}) {
     EXPECT_GE(by_name[stage], 1u) << "no span named " << stage;
   }
   // One hac.round span per round (the final breaking round may add one).
@@ -131,6 +132,28 @@ TEST_F(ObservabilityTest, TraceCoversEveryPipelineStageAndHacRound) {
   EXPECT_GT(depth_of["shoal.hac"], depth_of["shoal.build"]);
   EXPECT_GT(depth_of["hac.round"], depth_of["shoal.hac"]);
   EXPECT_GT(depth_of["hac.diffusion"], depth_of["hac.round"]);
+  // The describe passes sit under shoal.describe and carry their sizes.
+  for (const char* pass :
+       {"describe.topics", "describe.softmax", "describe.rank"}) {
+    EXPECT_EQ(depth_of[pass], depth_of["shoal.describe"] + 1) << pass;
+  }
+  const auto arg = [](const obs::TraceEvent& e, const std::string& key) {
+    for (const auto& [name, value] : e.args) {
+      if (name == key) return value;
+    }
+    return -1.0;
+  };
+  for (const auto& e : events) {
+    if (e.name == "describe.topics" || e.name == "describe.rank") {
+      EXPECT_EQ(arg(e, "topics"),
+                static_cast<double>(model.taxonomy().num_topics()))
+          << e.name;
+      EXPECT_GT(arg(e, "pairs"), 0.0) << e.name;
+    }
+    if (e.name == "describe.softmax") {
+      EXPECT_GT(arg(e, "queries"), 0.0);
+    }
+  }
 }
 
 TEST_F(ObservabilityTest, MetricsAgreeWithBuildStats) {
@@ -163,7 +186,8 @@ TEST_F(ObservabilityTest, MetricsAgreeWithBuildStats) {
   // The slowest pool task, next to the mean: it is what shows one
   // straggler shard. It can be no longer than all of the pool's tasks
   // together, which is at most the largest recorded mean × tasks.
-  for (const std::string pool : {"entity_graph.pool", "bsp.pool"}) {
+  for (const std::string pool :
+       {"entity_graph.pool", "bsp.pool", "describe.pool"}) {
     const util::JsonValue* max_gauge =
         parsed->Find("gauges")->Find(pool + ".max_task_seconds");
     ASSERT_NE(max_gauge, nullptr) << pool;

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/shoal.h"
 #include "core/topic_describer.h"
+#include "data/dataset.h"
+#include "data/shoal_adapter.h"
 #include "serve_test_util.h"
 #include "text/normalize.h"
 #include "util/tsv.h"
@@ -41,6 +44,45 @@ TEST(ServingIndexCompileTest, NullCategoriesBecomeNoCategory) {
   for (uint32_t e = 0; e < 4; ++e) {
     EXPECT_EQ(data->entity_category[e], kNoCategoryId);
   }
+}
+
+// A build's own rankings compile to the same image as describing the
+// built taxonomy again, so `shoal_cli build --serving-index-out`
+// describes once.
+TEST(ServingIndexCompileTest, ModelRankingsCompileToTheSameImage) {
+  data::DatasetOptions data_options;
+  data_options.num_entities = 600;
+  data_options.num_queries = 450;
+  data_options.num_clicks = 20000;
+  data_options.seed = 11;
+  auto dataset = data::GenerateDataset(data_options);
+  ASSERT_TRUE(dataset.ok());
+  auto bundle = data::MakeShoalInput(*dataset);
+  core::ShoalOptions options;
+  options.num_threads = 2;
+  auto model = core::BuildShoal(bundle.View(), options);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+
+  core::DescriberInput input;
+  input.taxonomy = &model->taxonomy();
+  input.query_item_graph = &bundle.query_item_graph;
+  input.query_words = &bundle.query_words;
+  input.query_texts = &bundle.query_texts;
+  input.entity_title_words = &bundle.entity_title_words;
+  auto described = CompileServingIndex(
+      model->taxonomy(), input, core::DescriberOptions(),
+      &bundle.entity_categories, CompileOptions());
+  ASSERT_TRUE(described.ok()) << described.status().ToString();
+  auto kept = BuildServingIndexData(model->taxonomy(), model->rankings(),
+                                    bundle.query_texts,
+                                    &bundle.entity_categories,
+                                    CompileOptions());
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  auto described_image = EncodeServingIndexFile(*described);
+  auto kept_image = EncodeServingIndexFile(*kept);
+  ASSERT_TRUE(described_image.ok() && kept_image.ok());
+  EXPECT_GT(kept->query_text.size(), 0u);
+  EXPECT_TRUE(*described_image == *kept_image);
 }
 
 // The acceptance criterion of the serving tier: for every interned

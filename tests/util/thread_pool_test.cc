@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <vector>
@@ -100,6 +101,22 @@ TEST(ThreadPoolTest, DestructorJoinsCleanly) {
     pool.Wait();
   }
   EXPECT_EQ(counter.load(), 1);
+}
+
+// Items of work {1, 1, 10, 1, 1, 1}: at any range count the ranges tile
+// [0, 6) in order; at 3 the heavy item closes the first range and the
+// light items after it share the last (the middle one stays empty).
+TEST(BalancedRangesTest, TileItemsInOrderByWork) {
+  const std::vector<uint64_t> work_before{0, 1, 2, 12, 13, 14, 15};
+  for (size_t num_ranges : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+    const std::vector<size_t> begin = BalancedRanges(work_before, num_ranges);
+    ASSERT_EQ(begin.size(), num_ranges + 1);
+    EXPECT_EQ(begin.front(), 0u);
+    EXPECT_EQ(begin.back(), 6u);
+    EXPECT_TRUE(std::is_sorted(begin.begin(), begin.end())) << num_ranges;
+  }
+  EXPECT_EQ(BalancedRanges(work_before, 3), (std::vector<size_t>{0, 3, 3, 6}));
+  EXPECT_EQ(BalancedRanges({0}, 4), (std::vector<size_t>{0, 0, 0, 0, 0}));
 }
 
 }  // namespace
